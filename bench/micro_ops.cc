@@ -146,11 +146,7 @@ BENCHMARK(BM_NodeBinarySearch);
 
 // Batch shard routing: the stable bucketing pass every sharded batch op
 // runs first. 4096 elements over 8 shards, the default hashed-tier shape.
-// The `simd` variant pins the active ISA for the duration of the run so
-// the scalar row stays honest whatever FASTFAIR_SIMD says.
-void BM_BucketByShard(benchmark::State& state, simd::Isa isa) {
-  const simd::Isa prev = simd::ActiveIsa();
-  simd::ForceIsa(isa);
+void BM_BucketByShard(benchmark::State& state) {
   constexpr std::size_t kN = 4096, kShards = 8;
   std::vector<std::uint32_t> ids(kN);
   Rng rng(11);
@@ -163,8 +159,8 @@ void BM_BucketByShard(benchmark::State& state, simd::Isa isa) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kN));
-  simd::ForceIsa(prev);
 }
+BENCHMARK(BM_BucketByShard);
 
 void BM_PoolAlloc(benchmark::State& state) {
   pm::SetConfig(pm::Config{});
@@ -399,18 +395,13 @@ int main(int argc, char** argv) {
   // BM_NodeSimdSearch row (best ISA) is what the SIMD/scalar gate reads.
   benchmark::RegisterBenchmark("BM_NodeSimdSearch", &BM_NodeSimdSearch,
                                simd::BestSupportedIsa());
-  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kSse2,
-                        simd::Isa::kAvx2, simd::Isa::kAvx512,
-                        simd::Isa::kNeon}) {
+  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2,
+                        simd::Isa::kAvx512, simd::Isa::kNeon}) {
     if (!simd::IsaSupported(isa)) continue;
     benchmark::RegisterBenchmark(
         (std::string("BM_NodeSimdSearch/") + simd::IsaName(isa)).c_str(),
         &BM_NodeSimdSearch, isa);
   }
-  benchmark::RegisterBenchmark("BM_BucketByShard/scalar", &BM_BucketByShard,
-                               simd::Isa::kScalar);
-  benchmark::RegisterBenchmark("BM_BucketByShard/simd", &BM_BucketByShard,
-                               simd::BestSupportedIsa());
 
   benchmark::Initialize(&out_argc, argv);
   if (benchmark::ReportUnrecognizedArguments(out_argc, argv)) return 1;
@@ -463,8 +454,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // SIMD intra-node search gate (wide-vector machines only: on SSE2-only
-  // or NEON hardware the kernels win less and the gate would be noise):
+  // SIMD intra-node search gate (wide-vector machines only: on NEON or
+  // pre-AVX2 hardware the kernels win less and the gate would be noise):
   // the vectorized leaf search must run at <= 0.6x the scalar linear scan.
   if (simd::IsaSupported(simd::Isa::kAvx2) ||
       simd::IsaSupported(simd::Isa::kAvx512)) {

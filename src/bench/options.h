@@ -36,10 +36,10 @@
 //                            phases under Persistency::kRelaxed with
 //                            Config::coalesce_flushes (DESIGN.md §8.2)
 //   --simd=ISA               pin the intra-node search kernels to one ISA
-//                            tier (scalar|sse2|avx2|avx512|neon|auto,
-//                            DESIGN.md §9.1); unsupported tiers clamp down,
-//                            same as the FASTFAIR_SIMD env var. Default:
-//                            auto (best supported)
+//                            tier (scalar|avx2|avx512|neon|auto,
+//                            DESIGN.md §9.1); unsupported tiers clamp to
+//                            scalar, same as the FASTFAIR_SIMD env var.
+//                            Default: auto (best supported)
 //   --service-workers=<N>    worker threads for the KV service tier
 //                            (bench_service; DESIGN.md §10)
 //   --batch-timeout-us=<us>  longest a service worker holds a partial

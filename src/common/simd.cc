@@ -1,171 +1,142 @@
+// The vector kernels (DESIGN.md §9.1): common/simd_kernels.inc compiled
+// once per ISA. Each x86 ISA gets a `#pragma GCC target` region rather
+// than a per-file -mavx2/-mavx512f flag, so every build of src/ compiles
+// this file the same way; the region supplies its compare-to-bitmask
+// helpers and Kernels<Isa>'s members, which inline the body.
+//
+// Everything here except those members sits in an anonymous namespace and
+// calls only compiler builtins and always-inline intrinsics, so this file
+// defines no weak symbol: a linker can never pick an AVX-512-encoded copy
+// of a shared inline function for a baseline caller
+// (tests/simd_weak_symbols.cmake checks this).
+
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+
 #include "common/simd.h"
 
-#include <atomic>
-#include <cstdlib>
+#if defined(FASTFAIR_SIMD_X86)
+#include <immintrin.h>
+#endif
+
+// Defines Kernels<I>'s members as calls into the body compiled in `ns`.
+#define FASTFAIR_SIMD_DEFINE_KERNELS(I, ns)                                   \
+  template <>                                                                 \
+  void Kernels<I>::CopyRecords(const void* recs, std::size_t nrec,            \
+                               std::uint64_t* keys, std::uint64_t* ptrs) {    \
+    ns::CopyRecords(recs, nrec, keys, ptrs);                                  \
+  }                                                                           \
+  template <>                                                                 \
+  bool Kernels<I>::VerifyRecords(const void* recs, std::size_t nrec,          \
+                                 const std::uint64_t* keys,                   \
+                                 const std::uint64_t* ptrs) {                 \
+    return ns::VerifyRecords(recs, nrec, keys, ptrs);                         \
+  }                                                                           \
+  template <>                                                                 \
+  std::size_t Kernels<I>::FindFirstEq(const std::uint64_t* a,                 \
+                                      std::size_t from, std::size_t to,       \
+                                      std::uint64_t v) {                      \
+    return ns::FindFirst<false>(a, from, to, v);                              \
+  }                                                                           \
+  template <>                                                                 \
+  std::size_t Kernels<I>::FindFirstGt(const std::uint64_t* a,                 \
+                                      std::size_t from, std::size_t to,       \
+                                      std::uint64_t v) {                      \
+    return ns::FindFirst<true>(a, from, to, v);                               \
+  }                                                                           \
+  template <>                                                                 \
+  std::size_t Kernels<I>::FindFirstZero(const std::uint64_t* a,               \
+                                        std::size_t from, std::size_t to) {   \
+    return ns::FindFirst<false>(a, from, to, 0);                              \
+  }                                                                           \
+  template <>                                                                 \
+  std::size_t Kernels<I>::FindLastEq(const std::uint64_t* a,                  \
+                                     std::size_t from, std::size_t to,        \
+                                     std::uint64_t v) {                       \
+    return ns::FindLastEq(a, from, to, v);                                    \
+  }                                                                           \
+  template <>                                                                 \
+  std::uint64_t Kernels<I>::ByteEqMask(const std::uint8_t* a, std::size_t n,  \
+                                       std::uint8_t v) {                      \
+    return ns::ByteEqMask(a, n, v);                                           \
+  }                                                                           \
+  template <>                                                                 \
+  void Kernels<I>::RecordEqZero(const std::uint64_t* r, std::uint64_t key,    \
+                                unsigned* eq, unsigned* zero) {               \
+    ns::RecordMasks<false>(r, key, eq, zero);                                 \
+  }                                                                           \
+  template <>                                                                 \
+  void Kernels<I>::RecordGtZero(const std::uint64_t* r, std::uint64_t key,    \
+                                unsigned* gt, unsigned* zero) {               \
+    ns::RecordMasks<true>(r, key, gt, zero);                                  \
+  }                                                                           \
+  static_assert(Kernels<I>::kRecWidth == ns::kRecWidth)
 
 namespace fastfair::simd {
 
+#if defined(FASTFAIR_SIMD_X86)
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
 namespace {
+namespace avx2 {
+using V64 = std::uint64_t __attribute__((vector_size(32)));
+using V8 = std::uint8_t __attribute__((vector_size(32)));
 
-Isa DetectBestIsa() {
-#if defined(FASTFAIR_SIMD_X86)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw")) {
-    return Isa::kAvx512;
-  }
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Isa::kSse2;
-  return Isa::kScalar;
-#elif defined(FASTFAIR_SIMD_NEON)
-  return Isa::kNeon;  // NEON is baseline on aarch64
-#else
-  return Isa::kScalar;
-#endif
+std::uint64_t EqBits(V64 a, V64 b) {
+  return static_cast<unsigned>(_mm256_movemask_pd(__m256d(a == b)));
+}
+std::uint64_t GtBits(V64 a, V64 b) {
+  return static_cast<unsigned>(_mm256_movemask_pd(__m256d(a > b)));
+}
+std::uint64_t EqBits(V8 a, V8 b) {
+  return static_cast<std::uint32_t>(_mm256_movemask_epi8(__m256i(a == b)));
 }
 
-Isa ResolveFromEnv() {
-  const char* env = std::getenv("FASTFAIR_SIMD");
-  if (env == nullptr || env[0] == '\0') return BestSupportedIsa();
-  Isa parsed = Isa::kScalar;
-  if (!ParseIsa(env, &parsed)) return Isa::kScalar;  // unknown -> scalar
-  return IsaSupported(parsed) ? parsed : Isa::kScalar;
-}
-
-std::atomic<Isa>& ActiveSlot() {
-  static std::atomic<Isa> active{ResolveFromEnv()};
-  return active;
-}
-
+#include "common/simd_kernels.inc"
+}  // namespace avx2
 }  // namespace
+FASTFAIR_SIMD_DEFINE_KERNELS(Isa::kAvx2, avx2);
+#pragma GCC pop_options
 
-const char* IsaName(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return "scalar";
-    case Isa::kSse2:
-      return "sse2";
-    case Isa::kAvx2:
-      return "avx2";
-    case Isa::kAvx512:
-      return "avx512";
-    case Isa::kNeon:
-      return "neon";
-  }
-  return "scalar";
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512bw")
+namespace {
+namespace avx512 {
+using V64 = std::uint64_t __attribute__((vector_size(64)));
+using V8 = std::uint8_t __attribute__((vector_size(64)));
+
+std::uint64_t EqBits(V64 a, V64 b) {
+  return _mm512_cmpeq_epu64_mask(__m512i(a), __m512i(b));
+}
+std::uint64_t GtBits(V64 a, V64 b) {
+  return _mm512_cmpgt_epu64_mask(__m512i(a), __m512i(b));
+}
+std::uint64_t EqBits(V8 a, V8 b) {
+  return _mm512_cmpeq_epu8_mask(__m512i(a), __m512i(b));
 }
 
-bool ParseIsa(std::string_view s, Isa* out) {
-  if (s.empty() || s == "auto") {
-    *out = BestSupportedIsa();
-    return true;
-  }
-  for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kAvx512,
-                  Isa::kNeon}) {
-    if (s == IsaName(isa)) {
-      *out = isa;
-      return true;
-    }
-  }
-  return false;
-}
+#include "common/simd_kernels.inc"
+}  // namespace avx512
+}  // namespace
+FASTFAIR_SIMD_DEFINE_KERNELS(Isa::kAvx512, avx512);
+#pragma GCC pop_options
 
-bool IsaCompiled(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kSse2:
-    case Isa::kAvx2:
-    case Isa::kAvx512:
-#if defined(FASTFAIR_SIMD_X86)
-      return true;
-#else
-      return false;
+#elif defined(FASTFAIR_SIMD_NEON)
+
+// NEON is baseline on aarch64: no target region, and the portable lane
+// loops stand in for movemask.
+namespace {
+namespace neon {
+using V64 = std::uint64_t __attribute__((vector_size(16)));
+using V8 = std::uint8_t __attribute__((vector_size(16)));
+
+#include "common/simd_kernels.inc"
+}  // namespace neon
+}  // namespace
+FASTFAIR_SIMD_DEFINE_KERNELS(Isa::kNeon, neon);
+
 #endif
-    case Isa::kNeon:
-#if defined(FASTFAIR_SIMD_NEON)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-bool IsaSupported(Isa isa) {
-  if (!IsaCompiled(isa)) return false;
-#if defined(FASTFAIR_SIMD_X86)
-  __builtin_cpu_init();
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kSse2:
-      return __builtin_cpu_supports("sse2") != 0;
-    case Isa::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-    case Isa::kAvx512:
-      return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512bw") != 0;
-    case Isa::kNeon:
-      return false;
-  }
-  return false;
-#else
-  return true;  // compiled implies supported off x86 (scalar / baseline NEON)
-#endif
-}
-
-Isa BestSupportedIsa() {
-  static const Isa best = DetectBestIsa();
-  return best;
-}
-
-Isa ActiveIsa() { return ActiveSlot().load(std::memory_order_relaxed); }
-
-Isa ForceIsa(Isa isa) {
-  const Isa installed = IsaSupported(isa) ? isa : Isa::kScalar;
-  ActiveSlot().store(installed, std::memory_order_relaxed);
-  return installed;
-}
-
-std::uint64_t ByteEqMask(const std::uint8_t* a, std::size_t n,
-                         std::uint8_t v) {
-  switch (ActiveIsa()) {
-#if defined(FASTFAIR_SIMD_X86)
-    case Isa::kSse2:
-      return Sse2Kernels::ByteEqMask(a, n, v);
-    case Isa::kAvx2:
-      return Avx2Kernels::ByteEqMask(a, n, v);
-    case Isa::kAvx512:
-      return Avx512Kernels::ByteEqMask(a, n, v);
-#endif
-#if defined(FASTFAIR_SIMD_NEON)
-    case Isa::kNeon:
-      return NeonKernels::ByteEqMask(a, n, v);
-#endif
-    default:
-      return ScalarKernels::ByteEqMask(a, n, v);
-  }
-}
-
-std::size_t CollectEqU32(const std::uint32_t* a, std::size_t n,
-                         std::uint32_t v, std::uint32_t* out) {
-  switch (ActiveIsa()) {
-#if defined(FASTFAIR_SIMD_X86)
-    case Isa::kSse2:
-      return Sse2Kernels::CollectEqU32(a, n, v, out);
-    case Isa::kAvx2:
-      return Avx2Kernels::CollectEqU32(a, n, v, out);
-    case Isa::kAvx512:
-      return Avx512Kernels::CollectEqU32(a, n, v, out);
-#endif
-#if defined(FASTFAIR_SIMD_NEON)
-    case Isa::kNeon:
-      return NeonKernels::CollectEqU32(a, n, v, out);
-#endif
-    default:
-      return ScalarKernels::CollectEqU32(a, n, v, out);
-  }
-}
 
 }  // namespace fastfair::simd

@@ -8,13 +8,15 @@
 // through the scalar policy loads. This header supplies the primitive
 // kernels; core/node_search_simd.h builds the node protocol on top.
 //
-// Five ISA paths — scalar / SSE2 / AVX2 / AVX-512 / NEON — compiled with
-// per-function target attributes (no global -march), selected once at
-// startup from cpuid and overridable with FASTFAIR_SIMD=scalar|sse2|avx2|
-// avx512|neon (unsupported / unknown values clamp to scalar; unset or
-// "auto" picks the best the CPU offers). The scalar path is the reference
-// implementation; every vector kernel must be bit-identical to it on the
-// same input (tests/simd_search_test.cc enforces this per ISA).
+// Two kernel families: ScalarKernels, the reference, and Kernels<Isa>, one
+// generic vector body (common/simd_kernels.inc) that common/simd.cc
+// compiles per ISA inside `#pragma GCC target` regions (no global -march,
+// no per-file flags): AVX2 and AVX-512 on x86-64, NEON on aarch64. The ISA
+// is selected once at startup from cpuid and overridable with
+// FASTFAIR_SIMD=scalar|avx2|avx512|neon (unsupported / unknown values clamp
+// to scalar; unset or "auto" picks the best the CPU offers). Every vector
+// kernel must be bit-identical to the scalar one on the same input
+// (tests/simd_search_test.cc enforces this per ISA).
 //
 // Contract notes shared by all kernels:
 //  * u64 Find* kernels scan [from, to) of an array the caller guarantees
@@ -22,8 +24,7 @@
 //    for exactly this reason. Gt is an unsigned comparison.
 //  * ByteEqMask requires 64 readable bytes at `a` even when n < 64 (the
 //    callers point it at in-struct arrays with trailing members).
-//  * CollectEqU32 has no padding requirement (vector body + scalar tail).
-//  * SnapshotRecords/VerifyRecords read a {key, ptr} record array (16-byte
+//  * CopyRecords/VerifyRecords read a {key, ptr} record array (16-byte
 //    stride) with plain vector loads: only valid for memory policies with
 //    coherent raw loads (RealMem), never for crash-sim shadow policies.
 
@@ -36,10 +37,8 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define FASTFAIR_SIMD_X86 1
-#include <immintrin.h>
 #elif defined(__aarch64__)
 #define FASTFAIR_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace fastfair::simd {
@@ -47,14 +46,13 @@ namespace fastfair::simd {
 inline constexpr std::size_t kNpos = ~std::size_t{0};
 
 enum class Isa : std::uint8_t {
-  kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,  // requires avx512f + avx512bw
-  kNeon = 4,
+  kScalar,
+  kAvx2,
+  kAvx512,  // requires avx512f + avx512bw
+  kNeon,
 };
 
-/// Short lowercase name ("scalar", "sse2", ...), the same spelling
+/// Short lowercase name ("scalar", "avx2", ...), the same spelling
 /// FASTFAIR_SIMD and --simd accept.
 const char* IsaName(Isa isa);
 
@@ -62,19 +60,16 @@ const char* IsaName(Isa isa);
 /// Returns false on an unknown spelling.
 bool ParseIsa(std::string_view s, Isa* out);
 
-/// True when this binary carries code for `isa` (e.g. NEON never on x86).
-bool IsaCompiled(Isa isa);
-
-/// IsaCompiled and the running CPU reports the feature.
+/// True when this binary carries code for `isa` (NEON never on x86) and
+/// the running CPU reports the feature.
 bool IsaSupported(Isa isa);
 
-/// Best supported ISA in preference order avx512 > avx2 > sse2 > neon >
-/// scalar.
+/// Best supported ISA in preference order avx512 > avx2 > neon > scalar.
 Isa BestSupportedIsa();
 
 /// The process-wide active ISA: resolved once from FASTFAIR_SIMD (or
 /// BestSupportedIsa when unset/auto) on first call, then cached. All
-/// dispatch points (tree construction, BucketByShard, FindEntry) read this.
+/// dispatch points (tree construction, ByteEqMask) read this.
 Isa ActiveIsa();
 
 /// Test/bench hook: overrides ActiveIsa. Unsupported requests clamp to
@@ -102,8 +97,6 @@ inline constexpr std::size_t kMaskStride = 2;
 // ---------------------------------------------------------------------------
 
 struct ScalarKernels {
-  static constexpr Isa kIsa = Isa::kScalar;
-
   /// Deinterleaves nrec {key, ptr} records (16-byte stride) at `recs` into
   /// keys[] / ptrs[].
   static void CopyRecords(const void* recs, std::size_t nrec,
@@ -169,15 +162,6 @@ struct ScalarKernels {
     return m;
   }
 
-  /// Appends every i in [0, n) with a[i] == v to out; returns the count.
-  static std::size_t CollectEqU32(const std::uint32_t* a, std::size_t n,
-                                  std::uint32_t v, std::uint32_t* out) {
-    std::size_t c = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (a[i] == v) out[c++] = static_cast<std::uint32_t>(i);
-    return c;
-  }
-
   /// Records a kernel block can mask in one shot (see RecordEqZero).
   static constexpr std::size_t kRecWidth = 2;
 
@@ -215,763 +199,39 @@ struct ScalarKernels {
   }
 };
 
-#if defined(FASTFAIR_SIMD_X86)
-
 // ---------------------------------------------------------------------------
-// SSE2 kernels (baseline x86-64: always compiled, always supported).
+// Vector kernels: ScalarKernels' interface, defined out of line in
+// common/simd.cc for the ISAs this binary compiles (avx2 and avx512 on
+// x86-64, neon on aarch64). Each call is an out-of-line call into code
+// built for that ISA, which is why callers must check IsaSupported first.
 // ---------------------------------------------------------------------------
 
-struct Sse2Kernels {
-  static constexpr Isa kIsa = Isa::kSse2;
-
-  // SSE2 lacks 64-bit integer compares; equality is two 32-bit half
-  // compares ANDed, unsigned greater-than is the hi>hi | (hi==hi & lo>lo)
-  // composition over bias-shifted 32-bit signed compares.
-  static __m128i CmpEq64(__m128i a, __m128i b) {
-    const __m128i eq32 = _mm_cmpeq_epi32(a, b);
-    // 0xB1 swaps the 32-bit halves of each 64-bit lane.
-    return _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, 0xB1));
-  }
-
-  static __m128i CmpGtU64(__m128i a, __m128i b) {
-    const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-    const __m128i gt32 = _mm_cmpgt_epi32(_mm_xor_si128(a, bias),
-                                         _mm_xor_si128(b, bias));
-    const __m128i eq32 = _mm_cmpeq_epi32(a, b);
-    const __m128i gt_hi = _mm_shuffle_epi32(gt32, 0xF5);  // hi half -> both
-    const __m128i gt_lo = _mm_shuffle_epi32(gt32, 0xA0);  // lo half -> both
-    const __m128i eq_hi = _mm_shuffle_epi32(eq32, 0xF5);
-    return _mm_or_si128(gt_hi, _mm_and_si128(eq_hi, gt_lo));
-  }
-
-  static unsigned Mask64(__m128i m) {
-    return static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(m)));
-  }
+template <Isa I>
+struct Kernels {
+  /// One block is two vectors: 8 records at 64 bytes, 4 at 32, 2 at 16.
+  static constexpr std::size_t kRecWidth =
+      I == Isa::kAvx512 ? 8 : I == Isa::kAvx2 ? 4 : 2;
 
   static void CopyRecords(const void* recs, std::size_t nrec,
-                          std::uint64_t* keys, std::uint64_t* ptrs) {
-    const auto* r = static_cast<const __m128i*>(recs);
-    std::size_t i = 0;
-    for (; i + 2 <= nrec; i += 2) {
-      const __m128i r0 = _mm_loadu_si128(r + i);      // k0 p0
-      const __m128i r1 = _mm_loadu_si128(r + i + 1);  // k1 p1
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(keys + i),
-                       _mm_unpacklo_epi64(r0, r1));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(ptrs + i),
-                       _mm_unpackhi_epi64(r0, r1));
-    }
-    if (i < nrec) ScalarKernels::CopyRecords(r + i, nrec - i, keys + i,
-                                             ptrs + i);
-  }
-
+                          std::uint64_t* keys, std::uint64_t* ptrs);
   static bool VerifyRecords(const void* recs, std::size_t nrec,
                             const std::uint64_t* keys,
-                            const std::uint64_t* ptrs) {
-    const auto* r = static_cast<const __m128i*>(recs);
-    __m128i acc = _mm_setzero_si128();
-    std::size_t i = 0;
-    for (; i + 2 <= nrec; i += 2) {
-      const __m128i r0 = _mm_loadu_si128(r + i);
-      const __m128i r1 = _mm_loadu_si128(r + i + 1);
-      const __m128i k =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i));
-      const __m128i p =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(ptrs + i));
-      acc = _mm_or_si128(acc, _mm_xor_si128(k, _mm_unpacklo_epi64(r0, r1)));
-      acc = _mm_or_si128(acc, _mm_xor_si128(p, _mm_unpackhi_epi64(r0, r1)));
-    }
-    bool ok = Mask64(CmpEq64(acc, _mm_setzero_si128())) == 0x3u;
-    if (i < nrec)
-      ok = ScalarKernels::VerifyRecords(r + i, nrec - i, keys + i, ptrs + i) &&
-           ok;
-    return ok;
-  }
-
+                            const std::uint64_t* ptrs);
   static std::size_t FindFirstEq(const std::uint64_t* a, std::size_t from,
-                                 std::size_t to, std::uint64_t v) {
-    if (from >= to) return kNpos;
-    const __m128i vv = _mm_set1_epi64x(static_cast<long long>(v));
-    for (std::size_t i = from & ~std::size_t{1}; i < to; i += 2) {
-      unsigned m = Mask64(CmpEq64(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), vv));
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0) {
-        const std::size_t idx = i + static_cast<std::size_t>(
-                                        __builtin_ctz(m));
-        return idx < to ? idx : kNpos;
-      }
-    }
-    return kNpos;
-  }
-
+                                 std::size_t to, std::uint64_t v);
   static std::size_t FindFirstGt(const std::uint64_t* a, std::size_t from,
-                                 std::size_t to, std::uint64_t v) {
-    if (from >= to) return kNpos;
-    const __m128i vv = _mm_set1_epi64x(static_cast<long long>(v));
-    for (std::size_t i = from & ~std::size_t{1}; i < to; i += 2) {
-      unsigned m = Mask64(CmpGtU64(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), vv));
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0) {
-        const std::size_t idx = i + static_cast<std::size_t>(
-                                        __builtin_ctz(m));
-        return idx < to ? idx : kNpos;
-      }
-    }
-    return kNpos;
-  }
-
+                                 std::size_t to, std::uint64_t v);
   static std::size_t FindFirstZero(const std::uint64_t* a, std::size_t from,
-                                   std::size_t to) {
-    return FindFirstEq(a, from, to, 0);
-  }
-
+                                   std::size_t to);
   static std::size_t FindLastEq(const std::uint64_t* a, std::size_t from,
-                                std::size_t to, std::uint64_t v) {
-    if (from >= to) return kNpos;
-    const __m128i vv = _mm_set1_epi64x(static_cast<long long>(v));
-    const std::size_t first_blk = from & ~std::size_t{1};
-    std::size_t i = (to - 1) & ~std::size_t{1};
-    for (;; i -= 2) {
-      unsigned m = Mask64(CmpEq64(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), vv));
-      if (i + 2 > to) m &= (1u << (to - i)) - 1u;
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0)
-        return i + static_cast<std::size_t>(31 - __builtin_clz(m));
-      if (i == first_blk) return kNpos;
-    }
-  }
-
+                                std::size_t to, std::uint64_t v);
   static std::uint64_t ByteEqMask(const std::uint8_t* a, std::size_t n,
-                                  std::uint8_t v) {
-    const __m128i vv = _mm_set1_epi8(static_cast<char>(v));
-    std::uint64_t mask = 0;
-    for (std::size_t i = 0; i < 64; i += 16) {
-      const unsigned m = static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), vv)));
-      mask |= static_cast<std::uint64_t>(m) << i;
-    }
-    return n >= 64 ? mask : mask & ((std::uint64_t{1} << n) - 1);
-  }
-
-  static std::size_t CollectEqU32(const std::uint32_t* a, std::size_t n,
-                                  std::uint32_t v, std::uint32_t* out) {
-    const __m128i vv = _mm_set1_epi32(static_cast<int>(v));
-    std::size_t c = 0, i = 0;
-    for (; i + 4 <= n; i += 4) {
-      unsigned m = static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(
-          _mm_cmpeq_epi32(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), vv))));
-      while (m != 0) {
-        out[c++] = static_cast<std::uint32_t>(
-            i + static_cast<std::size_t>(__builtin_ctz(m)));
-        m &= m - 1;
-      }
-    }
-    for (; i < n; ++i)
-      if (a[i] == v) out[c++] = static_cast<std::uint32_t>(i);
-    return c;
-  }
-
-  static constexpr std::size_t kRecWidth = 2;
-
-  // movemask_pd of an in-place compare already yields interleaved bit
-  // positions: r0 lanes are {k0, p0}, r1 lanes are {k1, p1}, so record 0
-  // masks land at bit 0 and record 1 masks at bit 2 with no spreading.
+                                  std::uint8_t v);
   static void RecordEqZero(const std::uint64_t* r, std::uint64_t key,
-                           unsigned* eq, unsigned* zero) {
-    const __m128i r0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r));
-    const __m128i r1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(r + 2));
-    const __m128i bk = _mm_set1_epi64x(static_cast<long long>(key));
-    const __m128i zz = _mm_setzero_si128();
-    const unsigned e0 = Mask64(CmpEq64(r0, bk));
-    const unsigned e1 = Mask64(CmpEq64(r1, bk));
-    const unsigned z0 = Mask64(CmpEq64(r0, zz));
-    const unsigned z1 = Mask64(CmpEq64(r1, zz));
-    *eq = (e0 & 1u) | ((e1 & 1u) << 2);
-    *zero = ((z0 & 2u) | ((z1 & 2u) << 2)) >> 1;
-  }
-
+                           unsigned* eq, unsigned* zero);
   static void RecordGtZero(const std::uint64_t* r, std::uint64_t key,
-                           unsigned* gt, unsigned* zero) {
-    const __m128i r0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r));
-    const __m128i r1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(r + 2));
-    const __m128i bk = _mm_set1_epi64x(static_cast<long long>(key));
-    const __m128i zz = _mm_setzero_si128();
-    const unsigned g0 = Mask64(CmpGtU64(r0, bk));
-    const unsigned g1 = Mask64(CmpGtU64(r1, bk));
-    const unsigned z0 = Mask64(CmpEq64(r0, zz));
-    const unsigned z1 = Mask64(CmpEq64(r1, zz));
-    *gt = (g0 & 1u) | ((g1 & 1u) << 2);
-    *zero = ((z0 & 2u) | ((z1 & 2u) << 2)) >> 1;
-  }
+                           unsigned* gt, unsigned* zero);
 };
-
-// ---------------------------------------------------------------------------
-// AVX2 kernels: 4 keys per 256-bit compare.
-// ---------------------------------------------------------------------------
-
-struct Avx2Kernels {
-  static constexpr Isa kIsa = Isa::kAvx2;
-
-  __attribute__((target("avx2"))) static void CopyRecords(
-      const void* recs, std::size_t nrec, std::uint64_t* keys,
-      std::uint64_t* ptrs) {
-    const auto* r = static_cast<const std::uint64_t*>(recs);
-    std::size_t i = 0;
-    for (; i + 4 <= nrec; i += 4) {
-      const __m256i r0 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(r + 2 * i));  // k0 p0 k1 p1
-      const __m256i r1 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(r + 2 * i + 4));  // k2 p2 k3 p3
-      // unpacklo -> [k0 k2 k1 k3]; permute lanes (0,2,1,3) restores order.
-      const __m256i lo = _mm256_unpacklo_epi64(r0, r1);
-      const __m256i hi = _mm256_unpackhi_epi64(r0, r1);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(keys + i),
-                          _mm256_permute4x64_epi64(lo, 0xD8));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(ptrs + i),
-                          _mm256_permute4x64_epi64(hi, 0xD8));
-    }
-    if (i < nrec)
-      ScalarKernels::CopyRecords(r + 2 * i, nrec - i, keys + i, ptrs + i);
-  }
-
-  __attribute__((target("avx2"))) static bool VerifyRecords(
-      const void* recs, std::size_t nrec, const std::uint64_t* keys,
-      const std::uint64_t* ptrs) {
-    const auto* r = static_cast<const std::uint64_t*>(recs);
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 4 <= nrec; i += 4) {
-      const __m256i r0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + 2 * i));
-      const __m256i r1 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + 2 * i + 4));
-      const __m256i k = _mm256_permute4x64_epi64(
-          _mm256_unpacklo_epi64(r0, r1), 0xD8);
-      const __m256i p = _mm256_permute4x64_epi64(
-          _mm256_unpackhi_epi64(r0, r1), 0xD8);
-      acc = _mm256_or_si256(
-          acc, _mm256_xor_si256(k, _mm256_loadu_si256(
-                                       reinterpret_cast<const __m256i*>(
-                                           keys + i))));
-      acc = _mm256_or_si256(
-          acc, _mm256_xor_si256(p, _mm256_loadu_si256(
-                                       reinterpret_cast<const __m256i*>(
-                                           ptrs + i))));
-    }
-    bool ok = _mm256_testz_si256(acc, acc) != 0;
-    if (i < nrec)
-      ok = ScalarKernels::VerifyRecords(r + 2 * i, nrec - i, keys + i,
-                                        ptrs + i) &&
-           ok;
-    return ok;
-  }
-
-  __attribute__((target("avx2"))) static std::size_t FindFirstEq(
-      const std::uint64_t* a, std::size_t from, std::size_t to,
-      std::uint64_t v) {
-    if (from >= to) return kNpos;
-    const __m256i vv = _mm256_set1_epi64x(static_cast<long long>(v));
-    for (std::size_t i = from & ~std::size_t{3}; i < to; i += 4) {
-      unsigned m = static_cast<unsigned>(
-          _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-              vv))));
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0) {
-        const std::size_t idx =
-            i + static_cast<std::size_t>(__builtin_ctz(m));
-        return idx < to ? idx : kNpos;
-      }
-    }
-    return kNpos;
-  }
-
-  __attribute__((target("avx2"))) static std::size_t FindFirstGt(
-      const std::uint64_t* a, std::size_t from, std::size_t to,
-      std::uint64_t v) {
-    if (from >= to) return kNpos;
-    // AVX2 has only signed 64-bit >: bias both sides by 2^63.
-    const __m256i bias = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ull));
-    const __m256i vv = _mm256_xor_si256(
-        _mm256_set1_epi64x(static_cast<long long>(v)), bias);
-    for (std::size_t i = from & ~std::size_t{3}; i < to; i += 4) {
-      const __m256i x = _mm256_xor_si256(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), bias);
-      unsigned m = static_cast<unsigned>(_mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpgt_epi64(x, vv))));
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0) {
-        const std::size_t idx =
-            i + static_cast<std::size_t>(__builtin_ctz(m));
-        return idx < to ? idx : kNpos;
-      }
-    }
-    return kNpos;
-  }
-
-  __attribute__((target("avx2"))) static std::size_t FindFirstZero(
-      const std::uint64_t* a, std::size_t from, std::size_t to) {
-    return FindFirstEq(a, from, to, 0);
-  }
-
-  __attribute__((target("avx2"))) static std::size_t FindLastEq(
-      const std::uint64_t* a, std::size_t from, std::size_t to,
-      std::uint64_t v) {
-    if (from >= to) return kNpos;
-    const __m256i vv = _mm256_set1_epi64x(static_cast<long long>(v));
-    const std::size_t first_blk = from & ~std::size_t{3};
-    std::size_t i = (to - 1) & ~std::size_t{3};
-    for (;; i -= 4) {
-      unsigned m = static_cast<unsigned>(
-          _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-              vv))));
-      if (i + 4 > to) m &= (1u << (to - i)) - 1u;
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0)
-        return i + static_cast<std::size_t>(31 - __builtin_clz(m));
-      if (i == first_blk) return kNpos;
-    }
-  }
-
-  __attribute__((target("avx2"))) static std::uint64_t ByteEqMask(
-      const std::uint8_t* a, std::size_t n, std::uint8_t v) {
-    const __m256i vv = _mm256_set1_epi8(static_cast<char>(v));
-    const std::uint64_t lo = static_cast<std::uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a)), vv)));
-    const std::uint64_t hi = static_cast<std::uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + 32)),
-            vv)));
-    const std::uint64_t mask = lo | (hi << 32);
-    return n >= 64 ? mask : mask & ((std::uint64_t{1} << n) - 1);
-  }
-
-  static constexpr std::size_t kRecWidth = 4;
-
-  // In-place interleaved compares: each 256-bit load holds {k, p, k, p},
-  // so movemask_pd bits 0/2 are key lanes and bits 1/3 are ptr lanes —
-  // exactly the stride-2 mask contract, no deinterleave permutes needed.
-  __attribute__((target("avx2"))) static void RecordEqZero(
-      const std::uint64_t* r, std::uint64_t key, unsigned* eq,
-      unsigned* zero) {
-    const __m256i r0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r));
-    const __m256i r1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + 4));
-    const __m256i bk = _mm256_set1_epi64x(static_cast<long long>(key));
-    const __m256i zz = _mm256_setzero_si256();
-    const unsigned e0 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r0, bk))));
-    const unsigned e1 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r1, bk))));
-    const unsigned z0 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r0, zz))));
-    const unsigned z1 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r1, zz))));
-    *eq = (e0 & 0x5u) | ((e1 & 0x5u) << 4);
-    *zero = ((z0 & 0xAu) | ((z1 & 0xAu) << 4)) >> 1;
-  }
-
-  __attribute__((target("avx2"))) static void RecordGtZero(
-      const std::uint64_t* r, std::uint64_t key, unsigned* gt,
-      unsigned* zero) {
-    const __m256i r0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r));
-    const __m256i r1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + 4));
-    const __m256i bias = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ull));
-    const __m256i bk = _mm256_xor_si256(
-        _mm256_set1_epi64x(static_cast<long long>(key)), bias);
-    const __m256i zz = _mm256_setzero_si256();
-    const unsigned g0 = static_cast<unsigned>(_mm256_movemask_pd(
-        _mm256_castsi256_pd(
-            _mm256_cmpgt_epi64(_mm256_xor_si256(r0, bias), bk))));
-    const unsigned g1 = static_cast<unsigned>(_mm256_movemask_pd(
-        _mm256_castsi256_pd(
-            _mm256_cmpgt_epi64(_mm256_xor_si256(r1, bias), bk))));
-    const unsigned z0 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r0, zz))));
-    const unsigned z1 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r1, zz))));
-    *gt = (g0 & 0x5u) | ((g1 & 0x5u) << 4);
-    *zero = ((z0 & 0xAu) | ((z1 & 0xAu) << 4)) >> 1;
-  }
-
-  __attribute__((target("avx2"))) static std::size_t CollectEqU32(
-      const std::uint32_t* a, std::size_t n, std::uint32_t v,
-      std::uint32_t* out) {
-    const __m256i vv = _mm256_set1_epi32(static_cast<int>(v));
-    std::size_t c = 0, i = 0;
-    for (; i + 8 <= n; i += 8) {
-      unsigned m = static_cast<unsigned>(
-          _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-              vv))));
-      while (m != 0) {
-        out[c++] = static_cast<std::uint32_t>(
-            i + static_cast<std::size_t>(__builtin_ctz(m)));
-        m &= m - 1;
-      }
-    }
-    for (; i < n; ++i)
-      if (a[i] == v) out[c++] = static_cast<std::uint32_t>(i);
-    return c;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// AVX-512 kernels: 8 keys per 512-bit compare, mask registers directly.
-// ---------------------------------------------------------------------------
-
-struct Avx512Kernels {
-  static constexpr Isa kIsa = Isa::kAvx512;
-
-  __attribute__((target("avx512f"))) static void CopyRecords(
-      const void* recs, std::size_t nrec, std::uint64_t* keys,
-      std::uint64_t* ptrs) {
-    const auto* r = static_cast<const std::uint64_t*>(recs);
-    const __m512i idxk =
-        _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-    const __m512i idxp =
-        _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
-    std::size_t i = 0;
-    for (; i + 8 <= nrec; i += 8) {
-      const __m512i r0 =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(r + 2 * i));
-      const __m512i r1 =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(r + 2 * i + 8));
-      _mm512_storeu_si512(reinterpret_cast<void*>(keys + i),
-                          _mm512_permutex2var_epi64(r0, idxk, r1));
-      _mm512_storeu_si512(reinterpret_cast<void*>(ptrs + i),
-                          _mm512_permutex2var_epi64(r0, idxp, r1));
-    }
-    if (i < nrec)
-      ScalarKernels::CopyRecords(r + 2 * i, nrec - i, keys + i, ptrs + i);
-  }
-
-  __attribute__((target("avx512f"))) static bool VerifyRecords(
-      const void* recs, std::size_t nrec, const std::uint64_t* keys,
-      const std::uint64_t* ptrs) {
-    const auto* r = static_cast<const std::uint64_t*>(recs);
-    const __m512i idxk = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-    const __m512i idxp = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
-    __mmask8 bad = 0;
-    std::size_t i = 0;
-    for (; i + 8 <= nrec; i += 8) {
-      const __m512i r0 =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(r + 2 * i));
-      const __m512i r1 =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(r + 2 * i + 8));
-      bad |= _mm512_cmpneq_epu64_mask(
-          _mm512_permutex2var_epi64(r0, idxk, r1),
-          _mm512_loadu_si512(reinterpret_cast<const void*>(keys + i)));
-      bad |= _mm512_cmpneq_epu64_mask(
-          _mm512_permutex2var_epi64(r0, idxp, r1),
-          _mm512_loadu_si512(reinterpret_cast<const void*>(ptrs + i)));
-    }
-    bool ok = bad == 0;
-    if (i < nrec)
-      ok = ScalarKernels::VerifyRecords(r + 2 * i, nrec - i, keys + i,
-                                        ptrs + i) &&
-           ok;
-    return ok;
-  }
-
-  __attribute__((target("avx512f"))) static std::size_t FindFirstEq(
-      const std::uint64_t* a, std::size_t from, std::size_t to,
-      std::uint64_t v) {
-    if (from >= to) return kNpos;
-    const __m512i vv = _mm512_set1_epi64(static_cast<long long>(v));
-    for (std::size_t i = from & ~std::size_t{7}; i < to; i += 8) {
-      unsigned m = _mm512_cmpeq_epu64_mask(
-          _mm512_loadu_si512(reinterpret_cast<const void*>(a + i)), vv);
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0) {
-        const std::size_t idx =
-            i + static_cast<std::size_t>(__builtin_ctz(m));
-        return idx < to ? idx : kNpos;
-      }
-    }
-    return kNpos;
-  }
-
-  __attribute__((target("avx512f"))) static std::size_t FindFirstGt(
-      const std::uint64_t* a, std::size_t from, std::size_t to,
-      std::uint64_t v) {
-    if (from >= to) return kNpos;
-    const __m512i vv = _mm512_set1_epi64(static_cast<long long>(v));
-    for (std::size_t i = from & ~std::size_t{7}; i < to; i += 8) {
-      unsigned m = _mm512_cmpgt_epu64_mask(
-          _mm512_loadu_si512(reinterpret_cast<const void*>(a + i)), vv);
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0) {
-        const std::size_t idx =
-            i + static_cast<std::size_t>(__builtin_ctz(m));
-        return idx < to ? idx : kNpos;
-      }
-    }
-    return kNpos;
-  }
-
-  __attribute__((target("avx512f"))) static std::size_t FindFirstZero(
-      const std::uint64_t* a, std::size_t from, std::size_t to) {
-    return FindFirstEq(a, from, to, 0);
-  }
-
-  __attribute__((target("avx512f"))) static std::size_t FindLastEq(
-      const std::uint64_t* a, std::size_t from, std::size_t to,
-      std::uint64_t v) {
-    if (from >= to) return kNpos;
-    const __m512i vv = _mm512_set1_epi64(static_cast<long long>(v));
-    const std::size_t first_blk = from & ~std::size_t{7};
-    std::size_t i = (to - 1) & ~std::size_t{7};
-    for (;; i -= 8) {
-      unsigned m = _mm512_cmpeq_epu64_mask(
-          _mm512_loadu_si512(reinterpret_cast<const void*>(a + i)), vv);
-      if (i + 8 > to) m &= (1u << (to - i)) - 1u;
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0)
-        return i + static_cast<std::size_t>(31 - __builtin_clz(m));
-      if (i == first_blk) return kNpos;
-    }
-  }
-
-  __attribute__((target("avx512f,avx512bw"))) static std::uint64_t ByteEqMask(
-      const std::uint8_t* a, std::size_t n, std::uint8_t v) {
-    const std::uint64_t mask = _mm512_cmpeq_epi8_mask(
-        _mm512_loadu_si512(reinterpret_cast<const void*>(a)),
-        _mm512_set1_epi8(static_cast<char>(v)));
-    return n >= 64 ? mask : mask & ((std::uint64_t{1} << n) - 1);
-  }
-
-  static constexpr std::size_t kRecWidth = 8;
-
-  // Masked in-place compares over the interleaved record bytes: key lanes
-  // are the even lanes (0x55), ptr lanes the odd (0xAA). The compare masks
-  // come back already in the stride-2 bit layout — no permutex2var, no
-  // index constants.
-  __attribute__((target("avx512f"))) static void RecordEqZero(
-      const std::uint64_t* r, std::uint64_t key, unsigned* eq,
-      unsigned* zero) {
-    const __m512i r0 = _mm512_loadu_si512(reinterpret_cast<const void*>(r));
-    const __m512i r1 =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(r + 8));
-    const __m512i bk = _mm512_set1_epi64(static_cast<long long>(key));
-    const __m512i zz = _mm512_setzero_si512();
-    const unsigned e0 = _mm512_mask_cmpeq_epu64_mask(0x55, r0, bk);
-    const unsigned e1 = _mm512_mask_cmpeq_epu64_mask(0x55, r1, bk);
-    const unsigned z0 = _mm512_mask_cmpeq_epu64_mask(0xAA, r0, zz);
-    const unsigned z1 = _mm512_mask_cmpeq_epu64_mask(0xAA, r1, zz);
-    *eq = e0 | (e1 << 8);
-    *zero = (z0 | (z1 << 8)) >> 1;
-  }
-
-  __attribute__((target("avx512f"))) static void RecordGtZero(
-      const std::uint64_t* r, std::uint64_t key, unsigned* gt,
-      unsigned* zero) {
-    const __m512i r0 = _mm512_loadu_si512(reinterpret_cast<const void*>(r));
-    const __m512i r1 =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(r + 8));
-    const __m512i bk = _mm512_set1_epi64(static_cast<long long>(key));
-    const __m512i zz = _mm512_setzero_si512();
-    const unsigned g0 = _mm512_mask_cmpgt_epu64_mask(0x55, r0, bk);
-    const unsigned g1 = _mm512_mask_cmpgt_epu64_mask(0x55, r1, bk);
-    const unsigned z0 = _mm512_mask_cmpeq_epu64_mask(0xAA, r0, zz);
-    const unsigned z1 = _mm512_mask_cmpeq_epu64_mask(0xAA, r1, zz);
-    *gt = g0 | (g1 << 8);
-    *zero = (z0 | (z1 << 8)) >> 1;
-  }
-
-  __attribute__((target("avx512f"))) static std::size_t CollectEqU32(
-      const std::uint32_t* a, std::size_t n, std::uint32_t v,
-      std::uint32_t* out) {
-    const __m512i vv = _mm512_set1_epi32(static_cast<int>(v));
-    std::size_t c = 0, i = 0;
-    for (; i + 16 <= n; i += 16) {
-      unsigned m = _mm512_cmpeq_epu32_mask(
-          _mm512_loadu_si512(reinterpret_cast<const void*>(a + i)), vv);
-      while (m != 0) {
-        out[c++] = static_cast<std::uint32_t>(
-            i + static_cast<std::size_t>(__builtin_ctz(m)));
-        m &= m - 1;
-      }
-    }
-    for (; i < n; ++i)
-      if (a[i] == v) out[c++] = static_cast<std::uint32_t>(i);
-    return c;
-  }
-};
-
-#endif  // FASTFAIR_SIMD_X86
-
-#if defined(FASTFAIR_SIMD_NEON)
-
-// ---------------------------------------------------------------------------
-// NEON kernels (aarch64): 2 keys per 128-bit compare, vld2 deinterleave.
-// NEON has no movemask; lane masks come from narrowing the compare result.
-// ---------------------------------------------------------------------------
-
-struct NeonKernels {
-  static constexpr Isa kIsa = Isa::kNeon;
-
-  static unsigned Mask2(uint64x2_t m) {
-    return static_cast<unsigned>(vgetq_lane_u64(m, 0) & 1) |
-           (static_cast<unsigned>(vgetq_lane_u64(m, 1) & 1) << 1);
-  }
-
-  static void CopyRecords(const void* recs, std::size_t nrec,
-                          std::uint64_t* keys, std::uint64_t* ptrs) {
-    const auto* r = static_cast<const std::uint64_t*>(recs);
-    std::size_t i = 0;
-    for (; i + 2 <= nrec; i += 2) {
-      const uint64x2x2_t kp = vld2q_u64(r + 2 * i);
-      vst1q_u64(keys + i, kp.val[0]);
-      vst1q_u64(ptrs + i, kp.val[1]);
-    }
-    if (i < nrec)
-      ScalarKernels::CopyRecords(r + 2 * i, nrec - i, keys + i, ptrs + i);
-  }
-
-  static bool VerifyRecords(const void* recs, std::size_t nrec,
-                            const std::uint64_t* keys,
-                            const std::uint64_t* ptrs) {
-    const auto* r = static_cast<const std::uint64_t*>(recs);
-    uint64x2_t acc = vdupq_n_u64(0);
-    std::size_t i = 0;
-    for (; i + 2 <= nrec; i += 2) {
-      const uint64x2x2_t kp = vld2q_u64(r + 2 * i);
-      acc = vorrq_u64(acc, veorq_u64(kp.val[0], vld1q_u64(keys + i)));
-      acc = vorrq_u64(acc, veorq_u64(kp.val[1], vld1q_u64(ptrs + i)));
-    }
-    bool ok = (vgetq_lane_u64(acc, 0) | vgetq_lane_u64(acc, 1)) == 0;
-    if (i < nrec)
-      ok = ScalarKernels::VerifyRecords(r + 2 * i, nrec - i, keys + i,
-                                        ptrs + i) &&
-           ok;
-    return ok;
-  }
-
-  static std::size_t FindFirstEq(const std::uint64_t* a, std::size_t from,
-                                 std::size_t to, std::uint64_t v) {
-    if (from >= to) return kNpos;
-    const uint64x2_t vv = vdupq_n_u64(v);
-    for (std::size_t i = from & ~std::size_t{1}; i < to; i += 2) {
-      unsigned m = Mask2(vceqq_u64(vld1q_u64(a + i), vv));
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0) {
-        const std::size_t idx =
-            i + static_cast<std::size_t>(__builtin_ctz(m));
-        return idx < to ? idx : kNpos;
-      }
-    }
-    return kNpos;
-  }
-
-  static std::size_t FindFirstGt(const std::uint64_t* a, std::size_t from,
-                                 std::size_t to, std::uint64_t v) {
-    if (from >= to) return kNpos;
-    const uint64x2_t vv = vdupq_n_u64(v);
-    for (std::size_t i = from & ~std::size_t{1}; i < to; i += 2) {
-      unsigned m = Mask2(vcgtq_u64(vld1q_u64(a + i), vv));
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0) {
-        const std::size_t idx =
-            i + static_cast<std::size_t>(__builtin_ctz(m));
-        return idx < to ? idx : kNpos;
-      }
-    }
-    return kNpos;
-  }
-
-  static std::size_t FindFirstZero(const std::uint64_t* a, std::size_t from,
-                                   std::size_t to) {
-    return FindFirstEq(a, from, to, 0);
-  }
-
-  static std::size_t FindLastEq(const std::uint64_t* a, std::size_t from,
-                                std::size_t to, std::uint64_t v) {
-    if (from >= to) return kNpos;
-    const uint64x2_t vv = vdupq_n_u64(v);
-    const std::size_t first_blk = from & ~std::size_t{1};
-    std::size_t i = (to - 1) & ~std::size_t{1};
-    for (;; i -= 2) {
-      unsigned m = Mask2(vceqq_u64(vld1q_u64(a + i), vv));
-      if (i + 2 > to) m &= (1u << (to - i)) - 1u;
-      if (i < from) m &= ~0u << (from - i);
-      if (m != 0)
-        return i + static_cast<std::size_t>(31 - __builtin_clz(m));
-      if (i == first_blk) return kNpos;
-    }
-  }
-
-  static std::uint64_t ByteEqMask(const std::uint8_t* a, std::size_t n,
-                                  std::uint8_t v) {
-    const uint8x16_t vv = vdupq_n_u8(v);
-    std::uint64_t mask = 0;
-    for (std::size_t i = 0; i < 64; i += 16) {
-      const uint8x16_t eq = vceqq_u8(vld1q_u8(a + i), vv);
-      // Narrow each byte's 0xFF/0x00 to a nibble, then collect bit 0 of
-      // each nibble: shrn gives a 64-bit scalar with 4 bits per lane.
-      const std::uint64_t nib = vget_lane_u64(
-          vreinterpret_u64_u8(vshrn_n_u16(vreinterpretq_u16_u8(eq), 4)), 0);
-      std::uint64_t bits = 0;
-      for (std::size_t b = 0; b < 16; ++b)
-        bits |= ((nib >> (4 * b)) & 1) << b;
-      mask |= bits << i;
-    }
-    return n >= 64 ? mask : mask & ((std::uint64_t{1} << n) - 1);
-  }
-
-  static constexpr std::size_t kRecWidth = 2;
-
-  // vld2q deinterleaves for free on NEON; only the per-record bits must be
-  // spread to the stride-2 positions of the mask contract.
-  static void RecordEqZero(const std::uint64_t* r, std::uint64_t key,
-                           unsigned* eq, unsigned* zero) {
-    const uint64x2x2_t kp = vld2q_u64(r);
-    const unsigned e = Mask2(vceqq_u64(kp.val[0], vdupq_n_u64(key)));
-    const unsigned z = Mask2(vceqq_u64(kp.val[1], vdupq_n_u64(0)));
-    *eq = (e & 1u) | ((e & 2u) << 1);
-    *zero = (z & 1u) | ((z & 2u) << 1);
-  }
-
-  static void RecordGtZero(const std::uint64_t* r, std::uint64_t key,
-                           unsigned* gt, unsigned* zero) {
-    const uint64x2x2_t kp = vld2q_u64(r);
-    const unsigned g = Mask2(vcgtq_u64(kp.val[0], vdupq_n_u64(key)));
-    const unsigned z = Mask2(vceqq_u64(kp.val[1], vdupq_n_u64(0)));
-    *gt = (g & 1u) | ((g & 2u) << 1);
-    *zero = (z & 1u) | ((z & 2u) << 1);
-  }
-
-  static std::size_t CollectEqU32(const std::uint32_t* a, std::size_t n,
-                                  std::uint32_t v, std::uint32_t* out) {
-    const uint32x4_t vv = vdupq_n_u32(v);
-    std::size_t c = 0, i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const uint32x4_t eq = vceqq_u32(vld1q_u32(a + i), vv);
-      const std::uint64_t nib = vget_lane_u64(
-          vreinterpret_u64_u16(vshrn_n_u32(eq, 16)), 0);
-      for (std::size_t b = 0; b < 4; ++b)
-        if ((nib >> (16 * b)) & 1)
-          out[c++] = static_cast<std::uint32_t>(i + b);
-    }
-    for (; i < n; ++i)
-      if (a[i] == v) out[c++] = static_cast<std::uint32_t>(i);
-    return c;
-  }
-};
-
-#endif  // FASTFAIR_SIMD_NEON
 
 // ---------------------------------------------------------------------------
 // Runtime-dispatched convenience wrappers (one predictable switch per call;
@@ -983,9 +243,5 @@ struct NeonKernels {
 /// kernel structs.
 std::uint64_t ByteEqMask(const std::uint8_t* a, std::size_t n,
                          std::uint8_t v);
-
-/// CollectEqU32 on the active ISA.
-std::size_t CollectEqU32(const std::uint32_t* a, std::size_t n,
-                         std::uint32_t v, std::uint32_t* out);
 
 }  // namespace fastfair::simd

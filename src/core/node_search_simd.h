@@ -141,68 +141,40 @@ struct SimdNodeOps {
       static_cast<std::size_t>(kSlots) -
       static_cast<std::size_t>(kSlots) % K::kRecWidth;
 
-  /// Stride-2 eq/zero masks (simd::kMaskStride: record base+l maps to bit
-  /// 2l) for one block of `lanes` records at `base`. `lanes` is kRecWidth
-  /// for every block except a smaller node-tail remainder, which is
-  /// served by the overlap block (kVectorTail) or policy loads.
-  template <class K>
-  static void BlockEqMasks(Mem& m, const N* n, std::size_t base,
-                           std::size_t lanes, Key key, unsigned* eq,
-                           unsigned* z) {
+  /// Stride-2 hit/zero masks (simd::kMaskStride: record base+l maps to bit
+  /// 2l) for one block of `lanes` records at `base`; a hit is key == target
+  /// (kGt: key > target, unsigned). `lanes` is kRecWidth for every block
+  /// except a smaller node-tail remainder, which is served by the overlap
+  /// block (kVectorTail) or policy loads.
+  template <class K, bool kGt>
+  static void BlockMasks(Mem& m, const N* n, std::size_t base,
+                         std::size_t lanes, Key key, unsigned* hit,
+                         unsigned* z) {
     constexpr std::size_t W = K::kRecWidth;
+    constexpr auto kKernel = kGt ? &K::RecordGtZero : &K::RecordEqZero;
     const std::uint64_t* recs =
         reinterpret_cast<const std::uint64_t*>(n->records);
     if (lanes == W) {
-      K::RecordEqZero(recs + 2 * base, key, eq, z);
+      kKernel(recs + 2 * base, key, hit, z);
       return;
     }
     if constexpr (kVectorTail<K>) {
       const std::size_t drop = W - lanes;  // records the last block repeats
-      unsigned be, bz;
-      K::RecordEqZero(recs + 2 * (static_cast<std::size_t>(kSlots) - W), key,
-                      &be, &bz);
-      *eq = be >> (2 * drop);
+      unsigned bh, bz;
+      kKernel(recs + 2 * (static_cast<std::size_t>(kSlots) - W), key, &bh,
+              &bz);
+      *hit = bh >> (2 * drop);
       *z = bz >> (2 * drop);
       return;
     }
-    unsigned e = 0, zz = 0;
+    unsigned h = 0, zz = 0;
     for (std::size_t l = 0; l < lanes; ++l) {
       const int i = static_cast<int>(base + l);
-      if (Ops::LoadKeyAt(m, n, i) == key) e |= 1u << (2 * l);
+      const Key k = Ops::LoadKeyAt(m, n, i);
+      if (kGt ? k > key : k == key) h |= 1u << (2 * l);
       if (Ops::LoadPtrAt(m, n, i) == 0) zz |= 1u << (2 * l);
     }
-    *eq = e;
-    *z = zz;
-  }
-
-  /// Same block contract with an unsigned key > target compare.
-  template <class K>
-  static void BlockGtMasks(Mem& m, const N* n, std::size_t base,
-                           std::size_t lanes, Key key, unsigned* gt,
-                           unsigned* z) {
-    constexpr std::size_t W = K::kRecWidth;
-    const std::uint64_t* recs =
-        reinterpret_cast<const std::uint64_t*>(n->records);
-    if (lanes == W) {
-      K::RecordGtZero(recs + 2 * base, key, gt, z);
-      return;
-    }
-    if constexpr (kVectorTail<K>) {
-      const std::size_t drop = W - lanes;
-      unsigned bg, bz;
-      K::RecordGtZero(recs + 2 * (static_cast<std::size_t>(kSlots) - W), key,
-                      &bg, &bz);
-      *gt = bg >> (2 * drop);
-      *z = bz >> (2 * drop);
-      return;
-    }
-    unsigned g = 0, zz = 0;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const int i = static_cast<int>(base + l);
-      if (Ops::LoadKeyAt(m, n, i) > key) g |= 1u << (2 * l);
-      if (Ops::LoadPtrAt(m, n, i) == 0) zz |= 1u << (2 * l);
-    }
-    *gt = g;
+    *hit = h;
     *z = zz;
   }
 
@@ -221,7 +193,7 @@ struct SimdNodeOps {
       const std::size_t lanes =
           std::min(W, static_cast<std::size_t>(kSlots) - base);
       unsigned eq, z;
-      BlockEqMasks<K>(m, n, base, lanes, key, &eq, &z);
+      BlockMasks<K, false>(m, n, base, lanes, key, &eq, &z);
       if (base == 0 && (z & 1u) != 0 && lanes >= 2 && (z & 4u) == 0) {
         z &= ~1u;  // slot-0 transient hole
       }
@@ -267,7 +239,7 @@ struct SimdNodeOps {
       const std::size_t lanes =
           std::min(W, static_cast<std::size_t>(kSlots) - base);
       unsigned eq, z;
-      BlockEqMasks<K>(m, n, base, lanes, key, &eq, &z);
+      BlockMasks<K, false>(m, n, base, lanes, key, &eq, &z);
       if (base == 0 && (z & 1u) != 0 && lanes >= 2 && (z & 4u) == 0) {
         z &= ~1u;  // slot-0 transient hole
       }
@@ -321,7 +293,7 @@ struct SimdNodeOps {
       const std::size_t lanes =
           std::min(W, static_cast<std::size_t>(kSlots) - base);
       unsigned gt, z;
-      BlockGtMasks<K>(m, n, base, lanes, key, &gt, &z);
+      BlockMasks<K, true>(m, n, base, lanes, key, &gt, &z);
       if (base == 0 && first == 1) {
         gt &= ~1u;  // slot-0 hole is skipped entirely
         z &= ~1u;
@@ -574,74 +546,40 @@ struct SimdNodeOps {
 
   // --- runtime dispatch ------------------------------------------------------
 
-  /// Function pointer for `isa`, or the scalar reference when the ISA is
-  /// scalar/unavailable or the policy lacks coherent raw loads. nullptr is
-  /// never returned.
-  static LeafFn LeafSearchFor(simd::Isa isa) {
+  struct EntryPoints {
+    LeafFn leaf;
+    ChildFn child;
+    CollectFn collect;
+  };
+
+  template <class K>
+  static constexpr EntryPoints kVectorEntry{&SearchLeaf<K>, &SearchInternal<K>,
+                                            &CollectValid<K>};
+
+  /// The entry points for `isa`, or the scalar reference when the ISA is
+  /// scalar/unavailable or the policy lacks coherent raw loads.
+  static EntryPoints EntryFor(simd::Isa isa) {
     if constexpr (detail::MemHasCoherentRawLoads<Mem>()) {
       switch (isa) {
 #if defined(FASTFAIR_SIMD_X86)
-        case simd::Isa::kSse2:
-          return &SearchLeaf<simd::Sse2Kernels>;
         case simd::Isa::kAvx2:
-          return &SearchLeaf<simd::Avx2Kernels>;
+          return kVectorEntry<simd::Kernels<simd::Isa::kAvx2>>;
         case simd::Isa::kAvx512:
-          return &SearchLeaf<simd::Avx512Kernels>;
-#endif
-#if defined(FASTFAIR_SIMD_NEON)
+          return kVectorEntry<simd::Kernels<simd::Isa::kAvx512>>;
+#elif defined(FASTFAIR_SIMD_NEON)
         case simd::Isa::kNeon:
-          return &SearchLeaf<simd::NeonKernels>;
+          return kVectorEntry<simd::Kernels<simd::Isa::kNeon>>;
 #endif
         default:
           break;
       }
     }
-    return &Ops::SearchLeaf;
+    return {&Ops::SearchLeaf, &Ops::SearchInternal, &Ops::CollectValid};
   }
 
-  static ChildFn ChildSearchFor(simd::Isa isa) {
-    if constexpr (detail::MemHasCoherentRawLoads<Mem>()) {
-      switch (isa) {
-#if defined(FASTFAIR_SIMD_X86)
-        case simd::Isa::kSse2:
-          return &SearchInternal<simd::Sse2Kernels>;
-        case simd::Isa::kAvx2:
-          return &SearchInternal<simd::Avx2Kernels>;
-        case simd::Isa::kAvx512:
-          return &SearchInternal<simd::Avx512Kernels>;
-#endif
-#if defined(FASTFAIR_SIMD_NEON)
-        case simd::Isa::kNeon:
-          return &SearchInternal<simd::NeonKernels>;
-#endif
-        default:
-          break;
-      }
-    }
-    return &Ops::SearchInternal;
-  }
-
-  static CollectFn CollectFor(simd::Isa isa) {
-    if constexpr (detail::MemHasCoherentRawLoads<Mem>()) {
-      switch (isa) {
-#if defined(FASTFAIR_SIMD_X86)
-        case simd::Isa::kSse2:
-          return &CollectValid<simd::Sse2Kernels>;
-        case simd::Isa::kAvx2:
-          return &CollectValid<simd::Avx2Kernels>;
-        case simd::Isa::kAvx512:
-          return &CollectValid<simd::Avx512Kernels>;
-#endif
-#if defined(FASTFAIR_SIMD_NEON)
-        case simd::Isa::kNeon:
-          return &CollectValid<simd::NeonKernels>;
-#endif
-        default:
-          break;
-      }
-    }
-    return &Ops::CollectValid;
-  }
+  static LeafFn LeafSearchFor(simd::Isa isa) { return EntryFor(isa).leaf; }
+  static ChildFn ChildSearchFor(simd::Isa isa) { return EntryFor(isa).child; }
+  static CollectFn CollectFor(simd::Isa isa) { return EntryFor(isa).collect; }
 };
 
 }  // namespace fastfair::core

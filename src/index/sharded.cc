@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "common/simd.h"
 #include "maint/tasks.h"
 #include "pm/reclaim.h"
 
@@ -77,31 +76,6 @@ void BucketByShard(const std::uint32_t* shard_ids, std::size_t n,
                    std::vector<std::size_t>* start) {
   start->assign(num_shards + 1, 0);
   order->resize(n);
-  // Vectorized counting sort (DESIGN.md §9.3): one SIMD equality sweep per
-  // shard appends that shard's positions directly into their final `order`
-  // segment, so there is no histogram, no prefix sum, and no dependent
-  // scatter stores. One pass per shard costs num_shards * n / W lane-ops;
-  // with W >= 8 lanes it beats the scalar three-pass at the adapter's
-  // shard counts. Per-shard ascending appends keep it stable, bit-identical
-  // to the scalar path. Large shard counts or tiny batches fall through.
-  const simd::Isa isa = simd::ActiveIsa();
-  if (isa != simd::Isa::kScalar && num_shards <= 32 &&
-      n >= 4 * num_shards) {
-    std::size_t filled = 0;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      (*start)[s] = filled;
-      if (filled < n) {
-        filled += simd::CollectEqU32(shard_ids, n,
-                                     static_cast<std::uint32_t>(s),
-                                     order->data() + filled);
-      }
-    }
-    (*start)[num_shards] = filled;
-    if (filled == n) return;
-    // A shard id out of range (caller bug) would drop entries; fall back
-    // to the scalar path so behavior matches it exactly.
-    start->assign(num_shards + 1, 0);
-  }
   for (std::size_t i = 0; i < n; ++i) (*start)[shard_ids[i] + 1] += 1;
   for (std::size_t s = 0; s < num_shards; ++s) (*start)[s + 1] += (*start)[s];
   std::vector<std::size_t> cur(start->begin(), start->end() - 1);

@@ -2,9 +2,11 @@
 //
 // Three layers, each asserting zero divergence from the scalar reference:
 //  1. Kernel level: every compiled+supported ISA's Find*/ByteEqMask/
-//     CollectEqU32/CopyRecords kernels against ScalarKernels on randomized
+//     CopyRecords/Record* kernels against ScalarKernels on randomized
 //     inputs, including the boundary-block masking edges (from/to not on a
-//     vector boundary, padding false-matches past `to`).
+//     vector boundary, padding false-matches past `to`). The 16-byte
+//     instantiation of the generic body — the code aarch64 builds, with
+//     its portable lane-loop bit helpers — runs here on every host.
 //  2. Node level: SimdNodeOps entry points against NodeOps on randomized
 //     node states *including the forged transient states the lock-free
 //     protocol must tolerate* — slot-0 holes, duplicate ptrs (torn
@@ -23,6 +25,8 @@
 #include <cstdint>
 #include <random>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/simd.h"
@@ -31,7 +35,6 @@
 #include "core/node_ops.h"
 #include "core/node_search_simd.h"
 #include "crashsim/simmem.h"
-#include "index/sharded.h"
 
 namespace fastfair {
 namespace {
@@ -41,14 +44,56 @@ using core::NodeOps;
 using core::Record;
 using core::SimdNodeOps;
 
+constexpr simd::Isa kAllIsas[] = {simd::Isa::kScalar, simd::Isa::kAvx2,
+                                   simd::Isa::kAvx512, simd::Isa::kNeon};
+
 std::vector<simd::Isa> SupportedVectorIsas() {
   std::vector<simd::Isa> out;
-  for (simd::Isa isa : {simd::Isa::kSse2, simd::Isa::kAvx2,
-                        simd::Isa::kAvx512, simd::Isa::kNeon}) {
-    if (simd::IsaSupported(isa)) out.push_back(isa);
+  for (simd::Isa isa : kAllIsas) {
+    if (isa != simd::Isa::kScalar && simd::IsaSupported(isa)) {
+      out.push_back(isa);
+    }
   }
   return out;
 }
+
+// Calls f(std::integral_constant<Isa, I>) for every ISA this binary
+// defines simd::Kernels<I> for.
+template <class F>
+void ForEachCompiledIsa(F&& f) {
+#if defined(FASTFAIR_SIMD_X86)
+  f(std::integral_constant<simd::Isa, simd::Isa::kAvx2>{});
+  f(std::integral_constant<simd::Isa, simd::Isa::kAvx512>{});
+#elif defined(FASTFAIR_SIMD_NEON)
+  f(std::integral_constant<simd::Isa, simd::Isa::kNeon>{});
+#endif
+}
+
+// The generic kernel body at 16 bytes with no ISA bit helpers: exactly
+// what common/simd.cc compiles on aarch64, built here for the host.
+namespace portable16 {
+using V64 = std::uint64_t __attribute__((vector_size(16)));
+using V8 = std::uint8_t __attribute__((vector_size(16)));
+#include "common/simd_kernels.inc"
+}  // namespace portable16
+
+struct Portable16Kernels {
+  static constexpr std::size_t kRecWidth = portable16::kRecWidth;
+  static constexpr auto CopyRecords = &portable16::CopyRecords;
+  static constexpr auto VerifyRecords = &portable16::VerifyRecords;
+  static constexpr auto FindFirstEq = &portable16::FindFirst<false>;
+  static constexpr auto FindFirstGt = &portable16::FindFirst<true>;
+  static std::size_t FindFirstZero(const std::uint64_t* a, std::size_t from,
+                                   std::size_t to) {
+    return portable16::FindFirst<false>(a, from, to, 0);
+  }
+  static constexpr auto FindLastEq = &portable16::FindLastEq;
+  static constexpr auto ByteEqMask = &portable16::ByteEqMask;
+  static constexpr auto RecordEqZero = &portable16::RecordMasks<false>;
+  static constexpr auto RecordGtZero = &portable16::RecordMasks<true>;
+};
+static_assert(Portable16Kernels::kRecWidth == 2);
+static_assert(simd::Kernels<simd::Isa::kNeon>::kRecWidth == 2);
 
 // --- layer 1: kernels vs ScalarKernels ---------------------------------------
 
@@ -110,20 +155,6 @@ void KernelEquivalenceRound(std::mt19937_64* rng) {
     }
   }
 
-  // CollectEqU32: positions and count, including the scalar tail.
-  std::uniform_int_distribution<std::uint32_t> ds(0, 7);
-  std::vector<std::uint32_t> ids(133);
-  for (auto& x : ids) x = ds(*rng);
-  std::vector<std::uint32_t> got(ids.size()), want(ids.size());
-  for (std::uint32_t v = 0; v < 8; ++v) {
-    const std::size_t cg = K::CollectEqU32(ids.data(), ids.size(), v,
-                                           got.data());
-    const std::size_t cw = S::CollectEqU32(ids.data(), ids.size(), v,
-                                           want.data());
-    ASSERT_EQ(cg, cw) << "v=" << v;
-    for (std::size_t i = 0; i < cg; ++i) EXPECT_EQ(got[i], want[i]);
-  }
-
   // CopyRecords deinterleave + VerifyRecords accept/reject.
   constexpr std::size_t kRec = 21;
   alignas(64) std::uint64_t recs[2 * kRec];
@@ -179,61 +210,49 @@ void KernelEquivalenceRound(std::mt19937_64* rng) {
 }
 
 TEST(SimdKernels, EveryIsaMatchesScalarReference) {
-  int vector_paths = 0;
   for (int seed = 1; seed <= 8; ++seed) {
     std::mt19937_64 rng(seed);
-#if defined(FASTFAIR_SIMD_X86)
-    if (simd::IsaSupported(simd::Isa::kSse2)) {
-      KernelEquivalenceRound<simd::Sse2Kernels>(&rng);
-      ++vector_paths;
-    }
-    if (simd::IsaSupported(simd::Isa::kAvx2)) {
-      KernelEquivalenceRound<simd::Avx2Kernels>(&rng);
-      ++vector_paths;
-    }
-    if (simd::IsaSupported(simd::Isa::kAvx512)) {
-      KernelEquivalenceRound<simd::Avx512Kernels>(&rng);
-      ++vector_paths;
-    }
-#endif
-#if defined(FASTFAIR_SIMD_NEON)
-    if (simd::IsaSupported(simd::Isa::kNeon)) {
-      KernelEquivalenceRound<simd::NeonKernels>(&rng);
-      ++vector_paths;
-    }
-#endif
+    ForEachCompiledIsa([&](auto isa) {
+      if (simd::IsaSupported(isa)) {
+        KernelEquivalenceRound<simd::Kernels<decltype(isa)::value>>(&rng);
+      }
+    });
   }
-  // x86-64 guarantees SSE2, aarch64 guarantees NEON: at least one vector
-  // path must have actually run or this suite silently tests nothing.
-  EXPECT_GT(vector_paths, 0);
+}
+
+TEST(SimdKernels, Portable16MatchesScalarReference) {
+  for (int seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    KernelEquivalenceRound<Portable16Kernels>(&rng);
+  }
 }
 
 // --- dispatch plumbing -------------------------------------------------------
 
 TEST(SimdDispatch, ParseIsaSpellings) {
+  const std::pair<const char*, simd::Isa> spellings[] = {
+      {"scalar", simd::Isa::kScalar},
+      {"avx2", simd::Isa::kAvx2},
+      {"avx512", simd::Isa::kAvx512},
+      {"neon", simd::Isa::kNeon}};
+  static_assert(std::size(spellings) == std::size(kAllIsas));
   simd::Isa isa;
-  EXPECT_TRUE(simd::ParseIsa("scalar", &isa));
-  EXPECT_EQ(isa, simd::Isa::kScalar);
-  EXPECT_TRUE(simd::ParseIsa("sse2", &isa));
-  EXPECT_EQ(isa, simd::Isa::kSse2);
-  EXPECT_TRUE(simd::ParseIsa("avx2", &isa));
-  EXPECT_EQ(isa, simd::Isa::kAvx2);
-  EXPECT_TRUE(simd::ParseIsa("avx512", &isa));
-  EXPECT_EQ(isa, simd::Isa::kAvx512);
-  EXPECT_TRUE(simd::ParseIsa("neon", &isa));
-  EXPECT_EQ(isa, simd::Isa::kNeon);
+  for (const auto& [name, want] : spellings) {
+    EXPECT_TRUE(simd::ParseIsa(name, &isa)) << name;
+    EXPECT_EQ(isa, want) << name;
+    EXPECT_STREQ(simd::IsaName(want), name);
+  }
   EXPECT_TRUE(simd::ParseIsa("", &isa));
   EXPECT_EQ(isa, simd::BestSupportedIsa());
   EXPECT_TRUE(simd::ParseIsa("auto", &isa));
   EXPECT_EQ(isa, simd::BestSupportedIsa());
   EXPECT_FALSE(simd::ParseIsa("avx1024", &isa));
+  EXPECT_FALSE(simd::ParseIsa("sse2", &isa));  // no SSE2 tier
 }
 
 TEST(SimdDispatch, ForceIsaClampsUnsupported) {
   const simd::Isa prev = simd::ActiveIsa();
-  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kSse2,
-                        simd::Isa::kAvx2, simd::Isa::kAvx512,
-                        simd::Isa::kNeon}) {
+  for (simd::Isa isa : kAllIsas) {
     const simd::Isa got = simd::ForceIsa(isa);
     if (simd::IsaSupported(isa)) {
       EXPECT_EQ(got, isa) << simd::IsaName(isa);
@@ -356,32 +375,6 @@ TEST(SimdNodeEquivalence, LeafNode512) { RunRandomizedNodeStates<Node<512>>(fals
 TEST(SimdNodeEquivalence, LeafNode256) { RunRandomizedNodeStates<Node<256>>(false); }
 TEST(SimdNodeEquivalence, InternalNode512) { RunRandomizedNodeStates<Node<512>>(true); }
 TEST(SimdNodeEquivalence, InternalNode256) { RunRandomizedNodeStates<Node<256>>(true); }
-
-// --- BucketByShard: SIMD path vs scalar --------------------------------------
-
-TEST(SimdBucketByShard, MatchesScalarBucketing) {
-  const simd::Isa prev = simd::ActiveIsa();
-  std::mt19937_64 rng(42);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{8},
-                                   std::size_t{17}, std::size_t{32}}) {
-    for (const std::size_t n : {std::size_t{0}, std::size_t{7},
-                                std::size_t{64}, std::size_t{1000}}) {
-      std::uniform_int_distribution<std::uint32_t> ds(
-          0, static_cast<std::uint32_t>(shards - 1));
-      std::vector<std::uint32_t> ids(n);
-      for (auto& x : ids) x = ds(rng);
-      std::vector<std::uint32_t> order_s, order_v;
-      std::vector<std::size_t> start_s, start_v;
-      simd::ForceIsa(simd::Isa::kScalar);
-      detail::BucketByShard(ids.data(), n, shards, &order_s, &start_s);
-      simd::ForceIsa(simd::BestSupportedIsa());
-      detail::BucketByShard(ids.data(), n, shards, &order_v, &start_v);
-      ASSERT_EQ(order_v, order_s) << "shards=" << shards << " n=" << n;
-      ASSERT_EQ(start_v, start_s) << "shards=" << shards << " n=" << n;
-    }
-  }
-  simd::ForceIsa(prev);
-}
 
 // --- layer 3: concurrent writer vs SIMD readers ------------------------------
 
