@@ -211,12 +211,15 @@ struct SimdNodeOps {
     if (pos < 0) return kMiss;
     // Single-candidate validation: any anomaly (torn read, raced-away key,
     // transient duplicate) bails to the snapshot tier rather than rescanning.
+    // The left ptr is read before the slot, as the scalar left-to-right
+    // reader does: a right shift writes slot pos's ptr, then its key, then
+    // moves on to pos-1, so a slot read as (old key, shifted-in ptr) still
+    // matches a left ptr read earlier, but not one read afterwards.
+    const std::uint64_t left = pos == 0 ? 0 : Ops::LoadPtrAt(m, n, pos - 1);
     Key k;
     std::uint64_t p;
     if (!Ops::StableRecord(m, n, pos, &k, &p)) return kBail;
-    if (k != key || p == 0) return kBail;
-    const std::uint64_t left = pos == 0 ? 0 : Ops::LoadPtrAt(m, n, pos - 1);
-    if (p == left) return kBail;
+    if (k != key || p == 0 || p == left) return kBail;
     if (Ops::LoadSwitch(m, n) != sw) return kFlip;
     *out = p;
     return kHit;
@@ -339,8 +342,10 @@ struct SimdNodeOps {
         return kBail;
       }
       // Duplicate slots carry the valid left ptr, so `child` is correct
-      // even when bound-1 is mid-shift transient.
-      if (child == 0) return kBail;
+      // even when bound-1 is mid-shift transient. A key above the target
+      // means bound is stale: the vector scan saw bound-1 as a duplicate
+      // (or empty) and a separator has since been committed there.
+      if (child == 0 || k > key) return kBail;
     }
     if (Ops::LoadSwitch(m, n) != sw) return kFlip;
     *out = child;

@@ -12,9 +12,11 @@
 //     protocol must tolerate* — slot-0 holes, duplicate ptrs (torn
 //     inserts), duplicate keys (torn delete shifts) — under both switch
 //     parities, on two node geometries.
-//  3. Concurrent: a writer churns keys (flipping the switch word between
-//     insert and delete phases) while SIMD readers on every supported ISA
-//     search anchor keys that are always present.
+//  3. Races: a scripted writer's stores land between a direct probe's raw
+//     vector scan and its revalidation loads (deterministic), and a live
+//     writer churns keys (flipping the switch word between insert and
+//     delete phases) while SIMD readers on every supported ISA search
+//     anchor keys that are always present.
 //
 // Plus dispatch plumbing: ParseIsa/ForceIsa clamping and the coherent-raw-
 // loads gate that pins crash-sim memory policies to the scalar reference.
@@ -375,6 +377,91 @@ TEST(SimdNodeEquivalence, LeafNode512) { RunRandomizedNodeStates<Node<512>>(fals
 TEST(SimdNodeEquivalence, LeafNode256) { RunRandomizedNodeStates<Node<256>>(false); }
 TEST(SimdNodeEquivalence, InternalNode512) { RunRandomizedNodeStates<Node<512>>(true); }
 TEST(SimdNodeEquivalence, InternalNode256) { RunRandomizedNodeStates<Node<256>>(true); }
+
+// --- a writer landing between the vector scan and revalidation --------------
+
+// RealMem that replays a writer's stores into a reader's run: the first
+// policy load of a trigger address first applies the script up to that
+// trigger's step. This lands a writer's progress between a reader's raw
+// vector scan and its scalar revalidation loads, deterministically.
+struct ScriptedWriterMem : core::RealMem {
+  struct Store {
+    std::uint64_t* addr;
+    std::uint64_t value;
+  };
+  std::vector<Store> script;
+  std::size_t applied = 0;
+  std::vector<std::pair<const void*, std::size_t>> triggers;  // addr, upto
+
+  std::uint64_t Load64(const void* addr) {
+    for (const auto& [trigger, upto] : triggers) {
+      for (; trigger == addr && applied < upto; ++applied) {
+        core::RealMem::Store64(script[applied].addr, script[applied].value);
+      }
+    }
+    return core::RealMem::Load64(addr);
+  }
+};
+
+TEST(SimdNodeRace, InternalProbeIgnoresSeparatorAppendedAfterScan) {
+  // An internal node mid-append: the new last slot still holds the
+  // duplicate of its left neighbour's ptr (and a stale key), the
+  // terminator sits one slot further right. A direct probe for a key above
+  // every separator takes that terminator as its bound; the append then
+  // commits a separator above the key before the probe reads slot
+  // bound-1. Routing to that new child would skip the key's own subtree.
+  using NodeT = Node<512>;
+  using Ops = NodeOps<NodeT, ScriptedWriterMem>;
+  using Simd = SimdNodeOps<NodeT, ScriptedWriterMem>;
+  constexpr int kLive = 6;
+  for (simd::Isa isa : SupportedVectorIsas()) {
+    ScriptedWriterMem m;
+    alignas(64) NodeT node;
+    node.Init(1);
+    Ops::StoreLeftmost(m, &node, 0x10000);
+    for (int i = 0; i < kLive; ++i) {
+      Ops::InsertKey(m, &node, static_cast<Key>(1000 * (i + 1)),
+                     0x10000 + 16 * (i + 1));
+    }
+    const std::uint64_t left = node.records[kLive - 1].ptr;
+    node.records[kLive + 1].ptr = 0;  // terminator copied right
+    node.records[kLive].key = 1;      // stale
+    node.records[kLive].ptr = left;   // duplicate: slot not yet valid
+    m.script = {{&node.records[kLive].key, 9000},
+                {&node.records[kLive].ptr, 0x90000}};
+    m.triggers = {{&node.records[kLive].ptr, 2}};
+    EXPECT_EQ(Simd::ChildSearchFor(isa)(m, &node, 8500), left)
+        << simd::IsaName(isa);
+    EXPECT_EQ(m.applied, 2u) << "the append never landed";
+  }
+}
+
+TEST(SimdNodeRace, LeafProbeRejectsShiftedInPtrUnderStaleKey) {
+  // A FAST insert of key 5 shifts a leaf's records right, writing each
+  // slot's ptr before its key. The direct probe nominates key 30 at slot 2
+  // from its vector scan; the shift then writes slot 2's ptr (key 20's
+  // value) under the still-old key 30 and moves on to slot 1. Slot 2 now
+  // reads as a stable pair (30, key 20's value), which only a left
+  // neighbour ptr read *before* slot 2 exposes as a duplicate.
+  using NodeT = Node<512>;
+  using Ops = NodeOps<NodeT, ScriptedWriterMem>;
+  using Simd = SimdNodeOps<NodeT, ScriptedWriterMem>;
+  for (simd::Isa isa : SupportedVectorIsas()) {
+    ScriptedWriterMem m;
+    alignas(64) NodeT node;
+    node.Init(0);
+    for (const Key k : {10, 20, 30, 40}) Ops::InsertKey(m, &node, k, 1000 + k);
+    auto* r = node.records;
+    m.script = {{&r[5].ptr, 0},     {&r[4].ptr, 1040}, {&r[4].key, 40},
+                {&r[3].ptr, 1030},  {&r[3].key, 30},   {&r[2].ptr, 1020},
+                {&r[2].key, 20},    {&r[1].ptr, 1010}, {&r[1].key, 10},
+                {&r[0].ptr, 0},     {&r[0].key, 5},    {&r[0].ptr, 1005}};
+    m.triggers = {{&r[2].ptr, 6}, {&r[1].ptr, 8}};
+    EXPECT_EQ(Simd::LeafSearchFor(isa)(m, &node, 30), 1030u)
+        << simd::IsaName(isa);
+    EXPECT_GE(m.applied, 6u) << "the shift never reached slot 2";
+  }
+}
 
 // --- layer 3: concurrent writer vs SIMD readers ------------------------------
 
