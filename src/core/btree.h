@@ -127,9 +127,10 @@ class BTreeT {
   /// Point lookup; kNoValue if absent. Non-blocking in kLockFree mode.
   Value Search(Key key) const;
 
-  /// Descent group size for the batched pipeline (DESIGN.md §8.1): small
-  /// enough that G leaf prefetches fit typical line-fill-buffer MLP, large
-  /// enough to hide one emulated PM read stall behind seven peers.
+  /// Descent group size for the batched pipeline (DESIGN.md §8.1): large
+  /// enough to hide one emulated PM read stall behind seven peers. A wave
+  /// of G whole-node prefetches exceeds the 10-12 line-fill buffers of
+  /// current x86 cores; the excess requests queue behind the first ones.
   static constexpr std::size_t kBatchGroup = 8;
 
   /// Batched point lookups: out[i] = Search(keys[i]) for every i, same
@@ -247,14 +248,15 @@ class BTreeT {
   using CollectFn = int (*)(RealMem&, const NodeT*, Record*);
   void InitSearchDispatch();
 
-  /// Touches the lines a descent reads first (header + leading records) so
-  /// the fetch overlaps work on the other descents of a batch group.
-  static void PrefetchNode(const NodeT* n) {
+  /// Touches the lines the in-node search of `n` will read, so the fetch
+  /// overlaps work on the other descents of a batch group: the first
+  /// prefetch_lines_ lines (header first), chosen per search mode by
+  /// InitSearchDispatch(): the whole node (at most 8 lines) for linear
+  /// search, the header plus records 0-7 for binary search.
+  void PrefetchNode(const NodeT* n) const {
     const char* p = reinterpret_cast<const char*>(n);
-    __builtin_prefetch(p, 0, 3);
-    __builtin_prefetch(p + kCacheLineSize, 0, 3);
-    if constexpr (sizeof(NodeT) > 2 * kCacheLineSize) {
-      __builtin_prefetch(p + 2 * kCacheLineSize, 0, 3);
+    for (std::size_t i = 0; i < prefetch_lines_; ++i) {
+      __builtin_prefetch(p + i * kCacheLineSize, 0, 3);
     }
   }
 
@@ -262,9 +264,10 @@ class BTreeT {
   NodeT* FindLeaf(Key key) const;
 
   /// Interleaved lock-free descent of `g` keys (g <= kBatchGroup) to their
-  /// covering leaves: one wave per level, each slot's child prefetched a
-  /// full level before it is searched, leaf arrivals charged as one
-  /// grouped read stall per wave (pm::AnnotateReadGroup).
+  /// covering leaves: one wave per level below the root, each slot's child
+  /// prefetched a full wave before it is searched, and the g leaf arrivals
+  /// of the last wave charged as one grouped read stall
+  /// (pm::AnnotateReadGroup).
   void DescendGroup(const Key* keys, std::size_t g, NodeT** leaves) const;
 
   /// Search tail: probes `n` (a leaf from FindLeaf/DescendGroup) and
@@ -357,6 +360,7 @@ class BTreeT {
   LeafSearchFn leaf_search_;    // set by InitSearchDispatch()
   ChildSearchFn child_search_;  // set by InitSearchDispatch()
   CollectFn collect_valid_;     // set by InitSearchDispatch()
+  std::size_t prefetch_lines_;  // set by InitSearchDispatch()
   // kLogging mode: persistent undo area (image + active flag), allocated at
   // construction so split-time allocation isn't part of the logging cost.
   struct SplitLog {

@@ -31,6 +31,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 
@@ -131,8 +132,12 @@ struct NodeOps {
 
   /// Number of used slots including any slot-0 hole (i.e. index of the
   /// terminator).  Writer-side usage assumes the node was fixed first.
+  /// Slot 0's ptr is loaded once: a lock-free reader racing a slot-0
+  /// delete could otherwise see it live, re-load the hole's zero, and
+  /// count an empty node.
   static int CountRaw(Mem& m, const N* n) {
-    int i = FirstValidSlot(m, n);
+    const std::uint64_t p0 = LoadPtrAt(m, n, 0);
+    int i = p0 != 0 ? 1 : FirstValidSlot(m, n, p0);
     while (i <= kCap && LoadPtrAt(m, n, i) != 0) ++i;
     return i;
   }
@@ -476,38 +481,65 @@ struct NodeOps {
 
   /// Snapshot of the valid records of a node (sorted), for range scans and
   /// crash-image validation. Returns the number of records written to `out`
-  /// (at most kCap). Retries on direction flips.
+  /// (at most kCap). Scans in the direction SearchLeaf does; retries on
+  /// direction flips.
   static int CollectValid(Mem& m, const N* n, Record* out) {
     for (;;) {
       const std::uint32_t sw = LoadSwitch(m, n);
+      const std::uint64_t leftmost = n->is_leaf() ? 0 : LoadLeftmost(m, n);
       int cnt = 0;
       bool stable = true;
-      std::uint64_t prev = n->is_leaf() ? 0 : LoadLeftmost(m, n);
-      Key last_key = 0;
-      for (int i = 0; i <= kCap; ++i) {
-        Key k;
-        std::uint64_t p;
-        if (!StableRecord(m, n, i, &k, &p)) {
-          stable = false;
-          break;
-        }
-        if (p == 0) {
-          if (i == 0 && FirstValidSlot(m, n, p) == 1) continue;  // hole
-          break;
-        }
-        if (p == prev) continue;
-        if (cnt > 0 && k == last_key) {
-          // Duplicate key from an in-flight/crashed delete shift: the
-          // rightmost copy is authoritative.
-          out[cnt - 1].ptr = p;
+      if (sw % 2 == 0) {
+        std::uint64_t prev = leftmost;
+        Key last_key = 0;
+        for (int i = 0; i <= kCap; ++i) {
+          Key k;
+          std::uint64_t p;
+          if (!StableRecord(m, n, i, &k, &p)) {
+            stable = false;
+            break;
+          }
+          if (p == 0) {
+            if (i == 0 && FirstValidSlot(m, n, p) == 1) continue;  // hole
+            break;
+          }
+          if (p == prev) continue;
+          if (cnt > 0 && k == last_key) {
+            // Duplicate key from an in-flight/crashed delete shift: the
+            // rightmost copy is authoritative.
+            out[cnt - 1].ptr = p;
+            prev = p;
+            continue;
+          }
+          out[cnt].key = k;
+          out[cnt].ptr = p;
+          last_key = k;
           prev = p;
-          continue;
+          ++cnt;
         }
-        out[cnt].key = k;
-        out[cnt].ptr = p;
-        last_key = k;
-        prev = p;
-        ++cnt;
+      } else {
+        // Delete phase: right to left. A left shift moves each record one
+        // slot left, key before ptr, so a forward scan can read its old
+        // slot after it left and its new slot before it arrived, and miss
+        // it. Against the shift a record can only be seen twice, as two
+        // identical copies; the rightmost is kept.
+        for (int i = CountRaw(m, n) - 1; i >= 0; --i) {
+          Key k;
+          std::uint64_t p;
+          if (!StableRecord(m, n, i, &k, &p)) {
+            stable = false;
+            break;
+          }
+          if (p == 0) continue;  // hole
+          const std::uint64_t left =
+              i == 0 ? leftmost : LoadPtrAt(m, n, i - 1);
+          if (p == left) continue;  // invalid
+          if (cnt > 0 && k == out[cnt - 1].key) continue;
+          out[cnt].key = k;
+          out[cnt].ptr = p;
+          ++cnt;
+        }
+        std::reverse(out, out + cnt);
       }
       if (stable && LoadSwitch(m, n) == sw) return cnt;
     }

@@ -19,10 +19,11 @@
 //     rejects with kRejectedQuota at submit time, before the op costs the
 //     service anything.
 //   * batch-formation timeout — a worker holding a partial group waits at
-//     most batch_timeout_us for peers, and flushes immediately when a poll
-//     pass finds nothing new (the rings are empty, so waiting longer cannot
-//     grow the group); under low load a lone request pays the execution
-//     latency plus at most one poll cycle, not the full timeout, which is
+//     most batch_timeout_us for peers, and flushes as soon as four
+//     consecutive poll passes find nothing new (kIdlePollLimit in
+//     service.cc: the rings are dry, so waiting longer cannot grow the
+//     group); under low load a lone request pays the execution latency
+//     plus four empty poll passes, not the full timeout, which is
 //     what keeps service p999 within sight of scalar dispatch
 //     (bench/bench_service.cc gates it).
 //   * degraded mode — a Put the index answers with InsertStatus::kNoSpace
@@ -230,7 +231,8 @@ struct ServiceOptions {
   /// request still flows through the batch entry points individually).
   std::size_t max_batch = 256;
   /// Longest a worker holds a partial group while requests keep
-  /// trickling in; an empty poll pass flushes immediately regardless.
+  /// trickling in; four consecutive empty poll passes flush it early
+  /// regardless.
   std::uint64_t batch_timeout_us = 100;
   /// Per-tenant token-bucket rate; 0 = unlimited.
   std::uint64_t quota_ops_per_sec = 0;

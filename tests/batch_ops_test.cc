@@ -136,6 +136,70 @@ TEST(BatchOps, GroupedStallAccounting) {
                 scalar.read_stalls / 8 + 1);
 }
 
+// Exact form of the gate above on quiesced trees: the grouped descent
+// knows a slot has reached a leaf from the tree's level numbers, never
+// from the child's header, so each batch must charge every key exactly
+// one node visit and each group of kBatchGroup exactly one stall — at
+// every height and for full, partial and single-key groups.
+TEST(BatchOps, GroupedDescentChargesEachKeyOnce) {
+  for (const core::SearchMode mode :
+       {core::SearchMode::kLinear, core::SearchMode::kBinary}) {
+    for (int height = 1; height <= 4; ++height) {
+      pm::Pool pool(std::size_t{256} << 20);
+      core::Options opts;
+      opts.search = mode;
+      core::BTree tree(&pool, opts);
+      const auto keys = bench::UniformKeys(200000, 11);
+      std::size_t loaded = 0;
+      while (tree.Height() < height || loaded < 17) {
+        tree.Insert(keys[loaded], ValueFor(keys[loaded]));
+        ++loaded;
+      }
+      ASSERT_EQ(tree.Height(), height);
+
+      for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{8}, std::size_t{9},
+                                  std::size_t{17}}) {
+        const std::uint64_t groups =
+            (n + core::BTree::kBatchGroup - 1) / core::BTree::kBatchGroup;
+        // Probe the most recently loaded keys: spread over the key space,
+        // so the groups descend to different leaves.
+        const Key* probes = keys.data() + loaded - n;
+        std::vector<Value> vals(n);
+        const auto before_search = pm::Stats();
+        tree.SearchBatch(probes, n, vals.data());
+        const auto search = pm::Stats() - before_search;
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(vals[i], ValueFor(probes[i]));
+        }
+        EXPECT_EQ(search.read_annotations, n)
+            << "height=" << height << " n=" << n;
+        EXPECT_EQ(search.read_stalls, groups)
+            << "height=" << height << " n=" << n;
+
+        std::vector<core::Record> ops;
+        for (std::size_t i = 0; i < n; ++i) {
+          ops.push_back({probes[i], ValueFor(probes[i]) + 2});
+        }
+        std::vector<InsertStatus> st(n);
+        const auto before_insert = pm::Stats();
+        tree.InsertBatch(ops.data(), n, st.data());
+        const auto insert = pm::Stats() - before_insert;
+        for (const InsertStatus s : st) {
+          ASSERT_EQ(s, InsertStatus::kUpdated);
+        }
+        EXPECT_EQ(insert.read_annotations, n)
+            << "height=" << height << " n=" << n;
+        EXPECT_EQ(insert.read_stalls, groups)
+            << "height=" << height << " n=" << n;
+        // Restore the values the next batch size's probes expect.
+        for (core::Record& r : ops) r.ptr = ValueFor(r.key);
+        tree.InsertBatch(ops.data(), n);
+      }
+    }
+  }
+}
+
 TEST(BatchOps, SearchBatchRacesConcurrentSplitsAndDeletes) {
   pm::Pool pool(std::size_t{512} << 20);
   core::BTree tree(&pool);

@@ -1,7 +1,8 @@
 // Unit tests for the FAST/FAIR node-level algorithms on single nodes
 // (production RealMem policy): insert/delete shifts at every position,
 // terminator discipline, switch-counter direction control, split
-// primitives, search routines, and FixNode repairs.
+// primitives, search routines, and FixNode repairs; plus lock-free reads
+// with a writer's stores scripted between their loads.
 
 #include <gtest/gtest.h>
 
@@ -184,6 +185,74 @@ TEST_F(NodeFixture, BackwardScanFindsKeysInDeletePhase) {
   EXPECT_EQ(Ops::SearchLeaf(m_, &node_, 30), 301u);
   EXPECT_EQ(Ops::SearchLeaf(m_, &node_, 40), 401u);
   EXPECT_EQ(Ops::SearchLeaf(m_, &node_, 20), kNoValue);
+}
+
+// Memory policy that replays a writer's stores between two reader loads:
+// each step's stores land just before the `nth` load of its trigger word.
+struct ScriptedStoresMem : RealMem {
+  struct Step {
+    const void* trigger;
+    int nth;
+    std::vector<std::pair<std::uint64_t*, std::uint64_t>> stores;
+    int loads = 0;
+  };
+  std::vector<Step> steps;
+
+  std::uint64_t Load64(const void* a) {
+    for (Step& s : steps) {
+      if (s.trigger != a || ++s.loads != s.nth) continue;
+      for (const auto& [addr, v] : s.stores) RealMem::Store64(addr, v);
+    }
+    return RealMem::Load64(a);
+  }
+};
+using RaceOps = NodeOps<NodeT, ScriptedStoresMem>;
+
+// A leaf holding 10, 20, 30, 40 in the delete phase (odd switch counter).
+void FillDeletePhase(ScriptedStoresMem& m, NodeT* node) {
+  node->Init(0);
+  for (const Key k : {5, 10, 20, 30, 40}) {
+    RaceOps::InsertKey(m, node, k, k + 1000);
+  }
+  RaceOps::DeleteKey(m, node, 5);
+}
+
+TEST(NodeRace, BackwardScanCountsPastSlotZeroDeleteCommit) {
+  // A delete-phase reader counts the used slots, then scans right to
+  // left. A concurrent delete of slot 0 commits by zeroing its ptr (the
+  // transient hole). If that commit lands between two loads of slot 0's
+  // ptr inside the count, the reader saw slot 0 live and then saw a zero
+  // terminator at slot 0, counting an empty node and missing key 30.
+  ScriptedStoresMem m;
+  alignas(64) NodeT node;
+  FillDeletePhase(m, &node);
+  auto* r = node.records;
+  m.steps = {{&r[0].ptr, 2, {{&r[0].ptr, 0}}}};  // delete 10: the hole
+  EXPECT_EQ(RaceOps::SearchLeaf(m, &node, 30), 1030u);
+}
+
+TEST(NodeRace, CollectDuringDeleteShiftKeepsEveryRecord) {
+  // Deleting 20 shifts 30 and 40 one slot left, key before ptr. A forward
+  // collector that reads slot 1 just after the delete commits (an invalid
+  // duplicate of slot 0) and slot 2 after 40's key moved in but before
+  // its ptr did never sees 30: it has left slot 2 and not yet arrived in
+  // slot 1 when the reader passes.
+  ScriptedStoresMem m;
+  alignas(64) NodeT node;
+  FillDeletePhase(m, &node);
+  auto* r = node.records;
+  m.steps = {
+      {&r[1].ptr, 1, {{&r[1].ptr, 1010}}},  // commit: duplicate slot 0
+      {&r[2].ptr, 1, {{&r[1].key, 30}, {&r[1].ptr, 1030}, {&r[2].key, 40}}},
+      {&r[3].ptr, 1, {{&r[2].ptr, 1040}, {&r[3].ptr, 0}}}};
+  Record buf[kCap];
+  const int n = RaceOps::CollectValid(m, &node, buf);
+  ASSERT_EQ(n, 3);
+  EXPECT_EQ(buf[0].key, 10u);
+  EXPECT_EQ(buf[1].key, 30u);
+  EXPECT_EQ(buf[1].ptr, 1030u);
+  EXPECT_EQ(buf[2].key, 40u);
+  EXPECT_EQ(buf[2].ptr, 1040u);
 }
 
 TEST_F(NodeFixture, BinarySearchMatchesLinear) {
