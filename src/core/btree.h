@@ -25,6 +25,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -249,18 +250,21 @@ class BTreeT {
   void InitSearchDispatch();
 
   /// Touches the lines the in-node search of `n` will read, so the fetch
-  /// overlaps work on the other descents of a batch group: the first
-  /// prefetch_lines_ lines (header first), chosen per search mode by
-  /// InitSearchDispatch(): the whole node (at most 8 lines) for linear
-  /// search, the header plus records 0-7 for binary search.
-  void PrefetchNode(const NodeT* n) const {
+  /// overlaps work on the other descents of a batch group: the whole node,
+  /// header first, capped at 8 lines because past that (1-4 KB nodes) a
+  /// single descent's own demand loads queue behind its prefetches (Fig 3
+  /// search rows, EXPERIMENTS.md).
+  static void PrefetchNode(const NodeT* n) {
+    constexpr std::size_t kLines =
+        std::min<std::size_t>(8, sizeof(NodeT) / kCacheLineSize);
     const char* p = reinterpret_cast<const char*>(n);
-    for (std::size_t i = 0; i < prefetch_lines_; ++i) {
+    for (std::size_t i = 0; i < kLines; ++i) {
       __builtin_prefetch(p + i * kCacheLineSize, 0, 3);
     }
   }
 
-  /// Lock-free descent to the leaf whose range covers `key`.
+  /// Lock-free descent to the leaf whose range covers `key`: a one-key
+  /// DescendGroup, charged as one read stall.
   NodeT* FindLeaf(Key key) const;
 
   /// Interleaved lock-free descent of `g` keys (g <= kBatchGroup) to their
@@ -360,7 +364,6 @@ class BTreeT {
   LeafSearchFn leaf_search_;    // set by InitSearchDispatch()
   ChildSearchFn child_search_;  // set by InitSearchDispatch()
   CollectFn collect_valid_;     // set by InitSearchDispatch()
-  std::size_t prefetch_lines_;  // set by InitSearchDispatch()
   // kLogging mode: persistent undo area (image + active flag), allocated at
   // construction so split-time allocation isn't part of the logging cost.
   struct SplitLog {

@@ -60,17 +60,10 @@ inline void UnlinkDeadSibling(Mem& m, NodeT* left, NodeT* s) {
 template <std::size_t P>
 void BTreeT<P>::InitSearchDispatch() {
   using Simd = SimdNodeOps<NodeT, RealMem>;
-  // PrefetchNode width (DESIGN.md §8.1). Binary search touches about log2
-  // of a node's lines: the header and records 0-7. Linear search reads
-  // every record up to the terminator: the whole node, capped at 8 lines
-  // because past that (1-4 KB nodes) a single descent's own demand loads
-  // queue behind its prefetches (Fig 3 search rows, EXPERIMENTS.md).
-  constexpr std::size_t kNodeLines = sizeof(NodeT) / kCacheLineSize;
   if (opts_.search == SearchMode::kBinary) {
     leaf_search_ = &Ops::BinarySearchLeaf;
     child_search_ = &Ops::BinarySearchInternal;
     collect_valid_ = &Ops::CollectValid;
-    prefetch_lines_ = std::min<std::size_t>(3, kNodeLines);
     return;
   }
   // kLinear: the lock-free protocol, vectorized when a vector ISA is
@@ -80,7 +73,6 @@ void BTreeT<P>::InitSearchDispatch() {
   leaf_search_ = Simd::LeafSearchFor(isa);
   child_search_ = Simd::ChildSearchFor(isa);
   collect_valid_ = Simd::CollectFor(isa);
-  prefetch_lines_ = std::min<std::size_t>(8, kNodeLines);
 }
 
 template <std::size_t P>
@@ -156,31 +148,9 @@ bool BTreeT<P>::CasRoot(NodeT* expected, NodeT* desired) {
 
 template <std::size_t P>
 typename BTreeT<P>::NodeT* BTreeT<P>::FindLeaf(Key key) const {
-  RealMem m;
-  NodeT* n = Root();
-  // One step per level below the root: a node's level is fixed while it is
-  // live and move-right stays on one level, so the walk needs no look at
-  // the child's header to know when it has reached a leaf.
-  for (std::uint16_t level = n->hdr.level; level > 0; --level) {
-    // Hop on the fence-validated pointer itself: re-loading the sibling
-    // after the check can land on a newly split/unlinked node whose fence
-    // exceeds the key (overshoot has no recovery — walks only go right).
-    for (std::uint64_t su;
-         (su = Ops::MoveRightTarget(m, n, key, detail::ResolveNode<NodeT>));) {
-      n = AsNode(su);
-    }
-    n = AsNode(child_search_(m, n, key));
-    // Hand-over-hand prefetch: the child's lines start fetching before the
-    // (emulated) read stall below and the next level's search.
-    PrefetchNode(n);
-  }
-  // Read-latency model (DESIGN.md §5.1): only leaf-level visits are charged
-  // as serial PM reads. With the paper's configuration the non-leaf levels
-  // hold O(N / fanout) >> fewer nodes than the leaves and fit the LLC, and
-  // Quartz prices LLC-miss stalls, not loads — its measured near-parity of
-  // FAST+FAIR and FP-tree at 300 ns (Fig 5(b)) pins this calibration.
-  pm::AnnotateRead(n);
-  return n;
+  NodeT* leaf;
+  DescendGroup(&key, 1, &leaf);
+  return leaf;
 }
 
 template <std::size_t P>
@@ -193,14 +163,16 @@ void BTreeT<P>::DescendGroup(const Key* keys, std::size_t g,
   // runs, the children prefetched for slots j+1..g-1 (and next wave's for
   // 0..j) are in flight, so the per-level fetches of the whole group
   // overlap instead of serializing. Nothing in a wave reads the child it
-  // just prefetched — the wave count comes from the root's level (all
-  // slots descend in lockstep, as in FindLeaf) — so no slot waits for its
-  // own miss. The leaf arrivals are charged as ONE grouped read stall:
-  // their addresses were all known (and prefetched) before any was
-  // dereferenced.
+  // just prefetched: a node's level is fixed while it is live and
+  // move-right stays on one level, so every slot reaches a leaf after
+  // exactly the root's level in waves, and no slot waits for its own miss.
   for (std::uint16_t level = root->hdr.level; level > 0; --level) {
     for (std::size_t j = 0; j < g; ++j) {
       NodeT* n = leaves[j];
+      // Hop on the fence-validated pointer itself: re-loading the sibling
+      // after the check can land on a newly split/unlinked node whose
+      // fence exceeds the key (overshoot has no recovery — walks only go
+      // right).
       for (std::uint64_t su; (su = Ops::MoveRightTarget(
                                   m, n, keys[j], detail::ResolveNode<NodeT>));) {
         n = AsNode(su);
@@ -209,6 +181,13 @@ void BTreeT<P>::DescendGroup(const Key* keys, std::size_t g,
       PrefetchNode(leaves[j]);
     }
   }
+  // Read-latency model (DESIGN.md §5.1): only leaf-level visits are charged
+  // as serial PM reads. With the paper's configuration the non-leaf levels
+  // hold O(N / fanout) >> fewer nodes than the leaves and fit the LLC, and
+  // Quartz prices LLC-miss stalls, not loads — its measured near-parity of
+  // FAST+FAIR and FP-tree at 300 ns (Fig 5(b)) pins this calibration. The
+  // g leaf arrivals are charged as ONE grouped read stall: their addresses
+  // were all known (and prefetched) before any was dereferenced.
   pm::AnnotateReadGroup(g);
 }
 

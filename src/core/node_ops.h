@@ -349,6 +349,27 @@ struct NodeOps {
     return false;  // pathological contention; caller retries the node
   }
 
+  /// Delete-phase reader scan (Algorithm 3): visits the valid records right
+  /// to left, against the direction a delete shift moves them, skipping
+  /// holes and invalid slots (ptr equal to the left neighbour's; slot 0's
+  /// left neighbour is `left0`: 0 in a leaf, the leftmost child in an
+  /// internal node). Stops early when `visit(key, ptr)` returns true.
+  /// Returns false if a slot would not stabilize.
+  template <class Visit>
+  static bool ScanBackward(Mem& m, const N* n, std::uint64_t left0,
+                           Visit visit) {
+    for (int i = CountRaw(m, n) - 1; i >= 0; --i) {
+      Key k;
+      std::uint64_t p;
+      if (!StableRecord(m, n, i, &k, &p)) return false;
+      if (p == 0) continue;  // hole
+      const std::uint64_t left = i == 0 ? left0 : LoadPtrAt(m, n, i - 1);
+      if (p == left) continue;  // invalid
+      if (visit(k, p)) break;
+    }
+    return true;
+  }
+
   /// Lock-free point lookup in a leaf. Does not chase siblings (caller's
   /// job, it owns the traversal). Returns kNoValue when absent.
   static Value SearchLeaf(Mem& m, const N* n, Key key) {
@@ -381,22 +402,11 @@ struct NodeOps {
         }
       } else {
         // Delete phase: scan right to left, first (rightmost) valid match.
-        const int cnt = CountRaw(m, n);
-        for (int i = cnt - 1; i >= 0; --i) {
-          Key k;
-          std::uint64_t p;
-          if (!StableRecord(m, n, i, &k, &p)) {
-            stable = false;
-            break;
-          }
-          if (p == 0) continue;  // hole
-          const std::uint64_t left = i == 0 ? 0 : LoadPtrAt(m, n, i - 1);
-          if (p == left) continue;  // invalid
-          if (k == key) {
-            ret = p;
-            break;
-          }
-        }
+        stable = ScanBackward(m, n, 0, [&](Key k, std::uint64_t p) {
+          if (k != key) return false;
+          ret = p;
+          return true;
+        });
       }
       if (stable && LoadSwitch(m, n) == sw) return ret;
       // Direction flipped (or a slot would not stabilize) mid-scan: rescan.
@@ -523,22 +533,10 @@ struct NodeOps {
         // slot after it left and its new slot before it arrived, and miss
         // it. Against the shift a record can only be seen twice, as two
         // identical copies; the rightmost is kept.
-        for (int i = CountRaw(m, n) - 1; i >= 0; --i) {
-          Key k;
-          std::uint64_t p;
-          if (!StableRecord(m, n, i, &k, &p)) {
-            stable = false;
-            break;
-          }
-          if (p == 0) continue;  // hole
-          const std::uint64_t left =
-              i == 0 ? leftmost : LoadPtrAt(m, n, i - 1);
-          if (p == left) continue;  // invalid
-          if (cnt > 0 && k == out[cnt - 1].key) continue;
-          out[cnt].key = k;
-          out[cnt].ptr = p;
-          ++cnt;
-        }
+        stable = ScanBackward(m, n, leftmost, [&](Key k, std::uint64_t p) {
+          if (cnt == 0 || k != out[cnt - 1].key) out[cnt++] = Record{k, p};
+          return false;
+        });
         std::reverse(out, out + cnt);
       }
       if (stable && LoadSwitch(m, n) == sw) return cnt;
