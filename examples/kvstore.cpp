@@ -110,24 +110,23 @@ struct Store {
 };
 
 // The recovered tree exposed through the Index interface the service tier
-// consumes; batch entry points forward to the tree's pipelined ones.
+// consumes: its four batch operations forward to the tree's pipelined ones.
 class TreeIndex final : public Index {
  public:
   explicit TreeIndex(core::BTree* tree) : tree_(tree) {}
-  void Insert(Key k, Value v) override { tree_->Insert(k, v); }
-  bool Remove(Key k) override { return tree_->Remove(k); }
-  Value Search(Key k) const override { return tree_->Search(k); }
   void SearchBatch(const Key* keys, std::size_t n, Value* out) const override {
     tree_->SearchBatch(keys, n, out);
   }
-  using Index::InsertBatch;
   void InsertBatch(const core::Record* ops, std::size_t n,
                    InsertStatus* out) override {
     tree_->InsertBatch(ops, n, out);
   }
-  std::size_t Scan(Key min_key, std::size_t max_results,
-                   core::Record* out) const override {
-    return tree_->Scan(min_key, max_results, out);
+  void RemoveBatch(const Key* keys, std::size_t n, bool* out) override {
+    for (std::size_t i = 0; i < n; ++i) out[i] = tree_->Remove(keys[i]);
+  }
+  void ScanBatch(const ScanOp* ops, std::size_t n,
+                 std::size_t* out_counts) const override {
+    tree_->ScanBatch(ops, n, out_counts);
   }
   std::string_view name() const override { return "kvstore-tree"; }
   bool supports_concurrency() const override { return true; }

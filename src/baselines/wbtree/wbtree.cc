@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 
 namespace fastfair::baselines {
@@ -136,9 +137,7 @@ bool WBTree::Remove(Key key) {
 
 void WBTree::LogNode(Node* n) {
   const std::uint64_t idx = log_->active;
-  if (idx >= kMaxLoggedNodes) {
-    throw std::runtime_error("wB+-tree undo log overflow");
-  }
+  assert(idx < kMaxLoggedNodes && "SplitAndInsert sizes the cascade");
   log_->addrs[idx] = reinterpret_cast<std::uint64_t>(n);
   std::memcpy(log_->images[idx], n, kNodeSize);
   pm::Persist(log_->images[idx], kNodeSize);
@@ -163,6 +162,35 @@ void WBTree::RecoverFromLog() {
 
 void WBTree::SplitAndInsert(Node* leaf, std::vector<Node*>* path, Key key,
                             std::uint64_t val) {
+  // The cascade splits the leaf and every full ancestor above it; when all
+  // of them are full it also grows a new root. Allocate every node it
+  // needs before the first LogNode (FAST+FAIR's sibling-first rule,
+  // DESIGN.md §11.1): pool exhaustion then unwinds with the tree and the
+  // undo log untouched, instead of leaving the log armed with images a
+  // later crash would replay.
+  std::size_t splits = 1;
+  while (splits <= path->size() &&
+         (*path)[path->size() - splits]->count() >= kEntries) {
+    ++splits;
+  }
+  const bool new_root = splits > path->size();
+  if (splits + (new_root ? 0 : 1) > kMaxLoggedNodes) {
+    throw std::runtime_error("wB+-tree undo log overflow");
+  }
+  Node* fresh[kMaxLoggedNodes + 1];  // the splits + a new root
+  std::size_t allocated = 0;
+  try {
+    for (; allocated < splits; ++allocated) {
+      const Node* split =
+          allocated == 0 ? leaf : (*path)[path->size() - allocated];
+      fresh[allocated] = AllocNode(split->level);
+    }
+    if (new_root) fresh[allocated++] = AllocNode(root_->level + 1);
+  } catch (const std::bad_alloc&) {
+    while (allocated > 0) pool_->Free(fresh[--allocated], sizeof(Node));
+    throw;
+  }
+
   // Undo-log every node this structural modification will touch: the leaf
   // and each full ancestor that will cascade (plus the first non-full one).
   LogNode(leaf);
@@ -176,12 +204,13 @@ void WBTree::SplitAndInsert(Node* leaf, std::vector<Node*>* path, Key key,
   std::uint64_t right_u = 0;
   Key pending_key = key;
   std::uint64_t pending_val = val;
+  std::size_t next_fresh = 0;
 
   for (;;) {
     // Split n: move the upper half (by sorted order) to a new node.
     const int cnt = n->count();
     const int median = cnt / 2;
-    Node* right = AllocNode(n->level);
+    Node* right = fresh[next_fresh++];
     if (!n->is_leaf()) {
       right->leftmost = n->EntryAt(median).val;
     }
@@ -213,7 +242,7 @@ void WBTree::SplitAndInsert(Node* leaf, std::vector<Node*>* path, Key key,
 
     // Propagate the separator upward.
     if (path->empty()) {
-      Node* nr = AllocNode(n->level + 1);
+      Node* nr = fresh[next_fresh++];
       nr->leftmost = reinterpret_cast<std::uint64_t>(n);
       NodeInsert(nr, sep, right_u);
       pm::Persist(nr, sizeof(Node));

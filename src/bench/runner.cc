@@ -21,7 +21,7 @@ void LoadIndex(Index* idx, const std::vector<Key>& keys, std::size_t batch) {
       buf[j].key = keys[i + j];
       buf[j].ptr = ValueFor(keys[i + j]);
     }
-    idx->InsertBatch(buf.data(), n);
+    idx->InsertBatch(buf.data(), n, nullptr);
   }
 }
 

@@ -150,7 +150,8 @@ class BTreeT {
   /// or overwrote an existing entry (a duplicate key's second occurrence
   /// reports kUpdated), or kNoSpace when the pool could not supply op i's
   /// split (that op alone is skipped — the tree stays valid and later ops
-  /// still run; with out == nullptr a kNoSpace op is skipped silently).
+  /// still run). With out == nullptr such an op throws std::bad_alloc like
+  /// Insert: the ops before it are applied, the ops after it are not.
   void InsertBatch(const Record* ops, std::size_t n,
                    InsertStatus* out = nullptr);
 

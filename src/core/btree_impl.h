@@ -303,7 +303,11 @@ void BTreeT<P>::InsertBatch(const Record* ops, std::size_t n,
     for (std::size_t j = 0; j < g; ++j) {
       assert(ops[i + j].ptr != kNoValue && "kNoValue (0) is reserved");
       const InsertStatus st = InsertFrom(leaves[j], keys[j], ops[i + j].ptr);
-      if (out != nullptr) out[i + j] = st;
+      if (out != nullptr) {
+        out[i + j] = st;
+      } else if (st == InsertStatus::kNoSpace) {
+        throw std::bad_alloc();  // no status array: throw, as Insert does
+      }
     }
   }
 }

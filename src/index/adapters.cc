@@ -26,51 +26,58 @@ class Wrap final : public Index {
         name_(std::move(name)),
         concurrent_(concurrent) {}
 
-  void Insert(Key key, Value value) override { impl_.Insert(key, value); }
-  bool Remove(Key key) override { return impl_.Remove(key); }
-  Value Search(Key key) const override { return impl_.Search(key); }
+  // The one place a structure gets its batch loop: forward to impl_'s
+  // pipelined batch entry point when it has one (the core tree's grouped
+  // descents), otherwise loop impl_'s scalar op.
   void SearchBatch(const Key* keys, std::size_t n,
                    Value* out) const override {
-    // Forward to the structure's pipelined batch entry point when it has
-    // one (the core tree's interleaved descents); baselines keep the
-    // default per-key loop.
     if constexpr (requires { impl_.SearchBatch(keys, n, out); }) {
       impl_.SearchBatch(keys, n, out);
     } else {
-      Index::SearchBatch(keys, n, out);
+      for (std::size_t i = 0; i < n; ++i) out[i] = impl_.Search(keys[i]);
     }
   }
-  using Index::InsertBatch;  // keep the 2-arg convenience form visible
   void InsertBatch(const core::Record* ops, std::size_t n,
                    InsertStatus* out) override {
-    // The core tree's pipelined batch reports insert-vs-update natively;
-    // a baseline with only a plain batch entry point keeps it for the
-    // no-status call and falls back to the default Search-probe loop when
-    // the caller wants statuses.
     if constexpr (requires { impl_.InsertBatch(ops, n, out); }) {
       impl_.InsertBatch(ops, n, out);
-    } else if constexpr (requires { impl_.InsertBatch(ops, n); }) {
-      if (out == nullptr) {
-        impl_.InsertBatch(ops, n);
-      } else {
-        Index::InsertBatch(ops, n, out);
+    } else if (out == nullptr) {
+      // Null-out contract: exhaustion throws std::bad_alloc, as Insert does.
+      for (std::size_t i = 0; i < n; ++i) {
+        impl_.Insert(ops[i].key, ops[i].ptr);
       }
     } else {
-      Index::InsertBatch(ops, n, out);
+      for (std::size_t i = 0; i < n; ++i) {
+        // The baselines' Insert does not report, so probe first: exact at
+        // quiescence (an earlier duplicate in the batch is visible to the
+        // probe), best-effort against concurrent same-key writers.
+        out[i] = impl_.Search(ops[i].key) == kNoValue
+                     ? InsertStatus::kInserted
+                     : InsertStatus::kUpdated;
+        // Baselines signal exhaustion by throwing; map it to the op's
+        // status so one op out of pool space sheds instead of aborting the
+        // whole batch (and the service worker above it).
+        try {
+          impl_.Insert(ops[i].key, ops[i].ptr);
+        } catch (const std::bad_alloc&) {
+          out[i] = InsertStatus::kNoSpace;
+        }
+      }
     }
   }
-  std::size_t Scan(Key min_key, std::size_t max_results,
-                   core::Record* out) const override {
-    return impl_.Scan(min_key, max_results, out);
+  void RemoveBatch(const Key* keys, std::size_t n, bool* out) override {
+    // Every kind loops its scalar Remove; the core tree has no pipelined
+    // remove.
+    for (std::size_t i = 0; i < n; ++i) out[i] = impl_.Remove(keys[i]);
   }
   void ScanBatch(const ScanOp* ops, std::size_t n,
                  std::size_t* out_counts) const override {
-    // The core tree's grouped-descent + interleaved-drain pipeline when
-    // the structure has one; baselines keep the default per-op loop.
     if constexpr (requires { impl_.ScanBatch(ops, n, out_counts); }) {
       impl_.ScanBatch(ops, n, out_counts);
     } else {
-      Index::ScanBatch(ops, n, out_counts);
+      for (std::size_t i = 0; i < n; ++i) {
+        out_counts[i] = impl_.Scan(ops[i].min_key, ops[i].cap, ops[i].out);
+      }
     }
   }
   std::string_view name() const override { return name_; }
@@ -211,41 +218,8 @@ void Index::CollectMaintenanceTasks(
     const maint::TaskOptions& /*opts*/,
     std::vector<std::unique_ptr<maint::MaintenanceTask>>* /*out*/) {}
 
-void Index::SearchBatch(const Key* keys, std::size_t n, Value* out) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = Search(keys[i]);
-}
-
-void Index::InsertBatch(const core::Record* ops, std::size_t n,
-                        InsertStatus* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (out != nullptr) {
-      // Two-step probe for kinds whose Insert doesn't report: exact at
-      // quiescence (and within a batch — an earlier duplicate is visible
-      // to the probe), best-effort against concurrent same-key writers.
-      out[i] = Search(ops[i].key) == kNoValue ? InsertStatus::kInserted
-                                              : InsertStatus::kUpdated;
-    }
-    // Baselines signal exhaustion the pre-status way, by throwing from
-    // Insert; map it to the per-op status so one op out of pool space
-    // sheds instead of aborting the whole batch (and the service worker
-    // above it).
-    try {
-      Insert(ops[i].key, ops[i].ptr);
-    } catch (const std::bad_alloc&) {
-      if (out != nullptr) out[i] = InsertStatus::kNoSpace;
-    }
-  }
-}
-
-void Index::ScanBatch(const ScanOp* ops, std::size_t n,
-                      std::size_t* out_counts) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    out_counts[i] = Scan(ops[i].min_key, ops[i].cap, ops[i].out);
-  }
-}
-
 std::size_t Index::CountEntries() const {
-  // Batched full scan; correct for any implementation whose Scan returns
+  // Chunked full scan; correct for any implementation whose Scan returns
   // ascending keys. Restarts one past the last key seen.
   constexpr std::size_t kBatch = 1024;
   std::vector<core::Record> buf(kBatch);
@@ -263,9 +237,9 @@ std::size_t Index::CountEntries() const {
 
 namespace {
 
-// Default streaming scan: pulls batches through the virtual Scan entry
-// point and restarts one past the last key seen, so every adapter (the
-// Wrap<T> baselines included) gets an iterator without a native cursor.
+// Default streaming scan: pulls chunks through Scan (a ScanBatch of one)
+// and restarts one past the last key seen, so every adapter (the Wrap<T>
+// baselines included) gets an iterator without a native cursor.
 // Batches start small and double per refill: consumers that take only a
 // few entries (a bounded TPC-C scan through the k-way merge, which pulls
 // one iterator per shard) don't pay for a full batch, while long scans
@@ -290,10 +264,7 @@ class BatchedScanIterator final : public ScanIterator {
   static constexpr std::size_t kMaxBatch = 256;
 
   void Refill() {
-    // Route through the batched entry point (a one-op batch) so kinds with
-    // a native ScanBatch pipeline serve iterator refills from it too.
-    const ScanOp op{next_key_, batch_, buf_};
-    idx_->ScanBatch(&op, 1, &n_);
+    n_ = idx_->Scan(next_key_, batch_, buf_);
     pos_ = 0;
     if (n_ < batch_) {
       done_ = true;

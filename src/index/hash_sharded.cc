@@ -27,102 +27,113 @@ FpProbeCache::Stats HashShardedIndex::ProbeCacheStats() const {
                               : FpProbeCache::Stats{};
 }
 
-void HashShardedIndex::Insert(Key key, Value value) {
-  shards_[ShardOf(key)]->Insert(key, value);
-  // Invalidate *after* the authoritative insert: a fill racing ahead of
-  // this point is dropped by the key-matched invalidation; one racing
-  // behind it aborts on the generation bump (fp_cache.h protocol).
-  if (fp_cache_ != nullptr) fp_cache_->Invalidate(key);
+namespace {
+
+Key KeyOf(Key k) { return k; }
+Key KeyOf(const core::Record& r) { return r.key; }
+
+// Runs `write` (the authoritative shard writes), then drops the batch's
+// keys from the probe tier — also when `write` throws (a null-out insert
+// out of pool space may have applied a prefix). Invalidating *after* the
+// writes is the fp_cache.h protocol: a fill racing ahead of it is dropped
+// by the key-matched invalidation, one racing behind it aborts on the
+// generation bump.
+template <class Elem, class WriteFn>
+void WriteThenInvalidate(FpProbeCache* cache, const Elem* elems,
+                         std::size_t n, WriteFn&& write) {
+  const auto invalidate = [&] {
+    if (cache == nullptr) return;
+    for (std::size_t i = 0; i < n; ++i) cache->Invalidate(KeyOf(elems[i]));
+  };
+  try {
+    write();
+  } catch (...) {
+    invalidate();
+    throw;
+  }
+  invalidate();
 }
 
-bool HashShardedIndex::Remove(Key key) {
-  const bool removed = shards_[ShardOf(key)]->Remove(key);
-  if (fp_cache_ != nullptr) fp_cache_->Invalidate(key);
-  return removed;
-}
-
-Value HashShardedIndex::Search(Key key) const {
-  if (fp_cache_ == nullptr) return shards_[ShardOf(key)]->Search(key);
-  const Value cached = fp_cache_->Lookup(key);
-  if (cached != kNoValue) return cached;
-  // Read-through fill: the generation is sampled before the descent so a
-  // writer that lands in between aborts this install.
-  const std::uint32_t gen = fp_cache_->Generation(key);
-  const Value v = shards_[ShardOf(key)]->Search(key);
-  if (v != kNoValue) fp_cache_->Install(key, v, gen);
-  return v;
-}
+}  // namespace
 
 void HashShardedIndex::SearchBatch(const Key* keys, std::size_t n,
                                    Value* out) const {
-  if (n == 0) return;
-  // Probe the fingerprint tier first; only the misses pay the routed
-  // inner batch descent.
-  std::vector<Key> miss_keys;
-  std::vector<std::uint32_t> miss_pos;
-  std::vector<std::uint32_t> miss_gen;
-  const Key* batch_keys = keys;
-  std::size_t batch_n = n;
-  if (fp_cache_ != nullptr) {
-    miss_keys.reserve(n);
-    miss_pos.reserve(n);
-    miss_gen.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Value cached = fp_cache_->Lookup(keys[i]);
-      out[i] = cached;
-      if (cached == kNoValue) {
-        miss_keys.push_back(keys[i]);
-        miss_pos.push_back(static_cast<std::uint32_t>(i));
-        miss_gen.push_back(fp_cache_->Generation(keys[i]));
+  // Read-through fill: each miss's generation is sampled before its shard
+  // descent, so a writer that lands in between aborts the install.
+  // Chunked so the generations live on the stack.
+  const auto run = [this](std::size_t s, const Key* gk, std::size_t len,
+                          Value* gout) {
+    if (fp_cache_ == nullptr) {
+      shards_[s]->SearchBatch(gk, len, gout);
+      return;
+    }
+    constexpr std::size_t kChunk = 64;
+    std::uint32_t gen[kChunk];
+    for (std::size_t c = 0; c < len; c += kChunk) {
+      const std::size_t m = std::min(kChunk, len - c);
+      for (std::size_t j = 0; j < m; ++j) {
+        gen[j] = fp_cache_->Generation(gk[c + j]);
+      }
+      shards_[s]->SearchBatch(gk + c, m, gout + c);
+      for (std::size_t j = 0; j < m; ++j) {
+        if (gout[c + j] != kNoValue) {
+          fp_cache_->Install(gk[c + j], gout[c + j], gen[j]);
+        }
       }
     }
-    if (miss_keys.empty()) return;
-    batch_keys = miss_keys.data();
-    batch_n = miss_keys.size();
-  }
-  std::vector<Value> vals;
-  std::vector<Value> found(batch_n, kNoValue);
-  detail::DispatchBatchByShard(
-      batch_keys, batch_n, shards_.size(),
-      [this](Key k) { return ShardOf(k); },
-      [&](std::size_t s, const Key* gk, std::size_t len,
-          const std::uint32_t* pos) {
-        vals.resize(len);
-        shards_[s]->SearchBatch(gk, len, vals.data());
-        for (std::size_t j = 0; j < len; ++j) found[pos[j]] = vals[j];
-      });
-  if (fp_cache_ == nullptr) {
-    for (std::size_t j = 0; j < batch_n; ++j) out[j] = found[j];
-    return;
-  }
-  for (std::size_t j = 0; j < batch_n; ++j) {
-    out[miss_pos[j]] = found[j];
-    if (found[j] != kNoValue) {
-      fp_cache_->Install(miss_keys[j], found[j], miss_gen[j]);
+  };
+  const auto route = [this](Key k) { return ShardOf(k); };
+  // Probe the fingerprint tier first; only the misses pay the routed
+  // inner descent.
+  std::size_t misses = n;
+  if (fp_cache_ != nullptr) {
+    misses = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = fp_cache_->Lookup(keys[i]);
+      if (out[i] == kNoValue) ++misses;
     }
   }
+  if (misses == n) {  // nothing to compact (every scalar miss lands here)
+    detail::DispatchBatchByShard(keys, n, out, shards_.size(), route, run);
+    return;
+  }
+  if (misses == 0) return;
+  std::vector<Key> miss_keys;
+  std::vector<std::uint32_t> miss_pos;
+  miss_keys.reserve(misses);
+  miss_pos.reserve(misses);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (out[i] == kNoValue) {
+      miss_keys.push_back(keys[i]);
+      miss_pos.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  std::vector<Value> found(misses);
+  detail::DispatchBatchByShard(miss_keys.data(), misses, found.data(),
+                               shards_.size(), route, run);
+  for (std::size_t j = 0; j < misses; ++j) out[miss_pos[j]] = found[j];
 }
 
 void HashShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
                                    InsertStatus* out) {
-  if (n == 0) return;
-  std::vector<InsertStatus> st;
-  detail::DispatchBatchByShard(
-      ops, n, shards_.size(),
-      [this](const core::Record& r) { return ShardOf(r.key); },
-      [&](std::size_t s, const core::Record* gops, std::size_t len,
-          const std::uint32_t* pos) {
-        if (out != nullptr) {
-          st.resize(len);
-          shards_[s]->InsertBatch(gops, len, st.data());
-          for (std::size_t j = 0; j < len; ++j) out[pos[j]] = st[j];
-        } else {
-          shards_[s]->InsertBatch(gops, len);
-        }
-      });
-  if (fp_cache_ != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) fp_cache_->Invalidate(ops[i].key);
-  }
+  WriteThenInvalidate(fp_cache_.get(), ops, n, [&] {
+    detail::DispatchBatchByShard(
+        ops, n, out, shards_.size(),
+        [this](const core::Record& r) { return ShardOf(r.key); },
+        [this](std::size_t s, const core::Record* gops, std::size_t len,
+               InsertStatus* st) { shards_[s]->InsertBatch(gops, len, st); });
+  });
+}
+
+void HashShardedIndex::RemoveBatch(const Key* keys, std::size_t n,
+                                   bool* out) {
+  WriteThenInvalidate(fp_cache_.get(), keys, n, [&] {
+    detail::DispatchBatchByShard(
+        keys, n, out, shards_.size(), [this](Key k) { return ShardOf(k); },
+        [this](std::size_t s, const Key* gk, std::size_t len, bool* removed) {
+          shards_[s]->RemoveBatch(gk, len, removed);
+        });
+  });
 }
 
 namespace {
@@ -176,11 +187,11 @@ std::unique_ptr<ScanIterator> HashShardedIndex::NewScanIterator(
   return std::make_unique<MergeScanIterator>(shards_, min_key);
 }
 
-std::size_t HashShardedIndex::Scan(Key min_key, std::size_t max_results,
-                                   core::Record* out) const {
-  auto it = NewScanIterator(min_key);
+std::size_t HashShardedIndex::MergeScan(Key min_key, std::size_t cap,
+                                        core::Record* out) const {
+  MergeScanIterator it(shards_, min_key);
   std::size_t n = 0;
-  while (n < max_results && it->Next(&out[n])) ++n;
+  while (n < cap && it.Next(&out[n])) ++n;
   return n;
 }
 
@@ -203,7 +214,7 @@ void HashShardedIndex::ScanBatch(const ScanOp* ops, std::size_t n,
   }
   if (total_cap > kMergeScratchMax / n_shards) {
     for (std::size_t i = 0; i < n; ++i) {
-      out_counts[i] = Scan(ops[i].min_key, ops[i].cap, ops[i].out);
+      out_counts[i] = MergeScan(ops[i].min_key, ops[i].cap, ops[i].out);
     }
     return;
   }

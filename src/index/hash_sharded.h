@@ -42,31 +42,23 @@ class HashShardedIndex final : public Index {
   HashShardedIndex(std::string name, std::size_t num_shards,
                    const ShardFactory& make);
 
-  void Insert(Key key, Value value) override;
-  bool Remove(Key key) override;
-  Value Search(Key key) const override;
-
-  /// Native batch overrides (DESIGN.md §8.3): one hash-routing pass
-  /// buckets the batch, each shard gets its sub-batch in original order
-  /// (the inner kind's pipelined batch runs per shard), results scatter
-  /// back to the caller's positions.
+  /// The batch forms (DESIGN.md §8.3): one hash-routing pass buckets the
+  /// batch, each shard gets its sub-batch in original order (the inner
+  /// kind's pipelined batch runs per shard), results scatter back to the
+  /// caller's positions. SearchBatch reads through the probe tier first;
+  /// InsertBatch and RemoveBatch invalidate it after the shards apply.
   void SearchBatch(const Key* keys, std::size_t n, Value* out) const override;
-  using Index::InsertBatch;  // keep the 2-arg convenience form visible
   void InsertBatch(const core::Record* ops, std::size_t n,
                    InsertStatus* out) override;
-
-  /// Bounded k-way merge across the per-shard scans: globally sorted, same
-  /// result as any other kind's Scan (hash routing never duplicates a key
-  /// across shards).
-  std::size_t Scan(Key min_key, std::size_t max_results,
-                   core::Record* out) const override;
+  void RemoveBatch(const Key* keys, std::size_t n, bool* out) override;
 
   /// Batched scans: hash routing interleaves every range across all
   /// shards, so each shard serves the whole batch through one native
   /// ScanBatch call (grouped descents inside the shard) into per-op
   /// scratch runs, then each batch entry k-way-merges its per-shard runs.
   /// A batch whose scratch would exceed a bounded budget falls back to
-  /// the streaming per-op merge (same results, scalar descents).
+  /// the streaming per-op merge (MergeScan: same results, scalar
+  /// descents).
   void ScanBatch(const ScanOp* ops, std::size_t n,
                  std::size_t* out_counts) const override;
 
@@ -74,7 +66,7 @@ class HashShardedIndex final : public Index {
   /// shard sums taken non-atomically, exact only at quiescence.
   std::size_t CountEntries() const override;
 
-  /// The streaming form of the k-way merge Scan.
+  /// The streaming form of the k-way merge.
   std::unique_ptr<ScanIterator> NewScanIterator(Key min_key) const override;
 
   std::string_view name() const override { return name_; }
@@ -98,7 +90,7 @@ class HashShardedIndex final : public Index {
   /// Resizes (or, with 0, disables) the fingerprint probe tier (DESIGN.md
   /// §9.4): a DRAM sidecar that answers repeat point lookups from three
   /// cache lines instead of a full shard descent. Read-through only — the
-  /// shards stay authoritative; Insert/Remove invalidate through it.
+  /// shards stay authoritative; writes invalidate through it.
   /// Setup-time API: not safe against concurrent operations.
   void SetProbeCacheCapacity(std::size_t entries);
 
@@ -116,6 +108,11 @@ class HashShardedIndex final : public Index {
       std::vector<std::unique_ptr<maint::MaintenanceTask>>* out) override;
 
  private:
+  /// Bounded streaming k-way merge for one scan: one iterator per shard
+  /// and an N-entry min-heap, O(N · refill) memory whatever `cap` is.
+  std::size_t MergeScan(Key min_key, std::size_t cap,
+                        core::Record* out) const;
+
   std::vector<std::unique_ptr<Index>> shards_;
   std::string name_;
   std::unique_ptr<FpProbeCache> fp_cache_;

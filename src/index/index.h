@@ -56,61 +56,82 @@ class ScanIterator {
   virtual bool Next(core::Record* out) = 0;
 };
 
+/// The one operation interface every structure implements. Each operation
+/// has exactly one virtual, its batch form — SearchBatch, InsertBatch,
+/// RemoveBatch, ScanBatch — so routing, epoch pinning, migration
+/// dual-routing and probe-cache read-through exist once per adapter, on
+/// one path. Search/Insert/Remove/Scan are non-virtual batch-of-one
+/// wrappers over them. Where the loop lives (DESIGN.md §8.3): the core
+/// tree pipelines its batches natively (core/btree.h); Wrap<T>
+/// (adapters.cc) loops a baseline's scalar ops; the sharded adapters
+/// bucket each batch per shard and hand every shard its sub-batch.
+///
+/// Null `out` contract (DESIGN.md §11.1): InsertBatch with out == nullptr
+/// throws std::bad_alloc when an op runs out of pool space, exactly like
+/// Insert (ops before it are applied, later ones are not); with a status
+/// array the op reports kNoSpace instead and the batch continues.
 class Index {
  public:
   virtual ~Index() = default;
 
-  /// Upsert. `value` must not be kNoValue.
-  virtual void Insert(Key key, Value value) = 0;
+  /// Batched point lookups: out[i] = kNoValue if keys[i] is absent, else
+  /// its value. Keys need not be sorted or distinct.
+  virtual void SearchBatch(const Key* keys, std::size_t n,
+                           Value* out) const = 0;
 
-  /// Returns false if the key was absent.
-  virtual bool Remove(Key key) = 0;
+  /// Batched upserts applied in batch order (duplicate keys within the
+  /// batch resolve to the last occurrence); values must not be kNoValue.
+  /// When `out` is non-null, out[i] reports whether op i created its key
+  /// (kInserted), overwrote an existing entry (kUpdated), or was skipped
+  /// for lack of pool space (kNoSpace) — the service tier's Put replies
+  /// depend on this. Kinds whose scalar insert does not report (the
+  /// Wrap<T> baselines) probe with a Search first: exact at quiescence,
+  /// best-effort against a concurrent writer on the same key.
+  virtual void InsertBatch(const core::Record* ops, std::size_t n,
+                           InsertStatus* out) = 0;
 
-  /// kNoValue if absent.
-  virtual Value Search(Key key) const = 0;
+  /// Batched removals in batch order: out[i] = whether keys[i] was present
+  /// (a key repeated within the batch reports true, then false). `out`
+  /// must be non-null.
+  virtual void RemoveBatch(const Key* keys, std::size_t n, bool* out) = 0;
 
-  /// Batched point lookups: out[i] = Search(keys[i]) for every i (keys
-  /// need not be sorted or distinct). The default is a plain loop
-  /// (adapters.cc) so every kind accepts batches; kinds with a native
-  /// pipeline override it — the core tree interleaves prefetching
-  /// descents (core/btree.h), the sharded adapters partition the batch
-  /// per shard with one route/pin per shard group (DESIGN.md §8.3).
-  virtual void SearchBatch(const Key* keys, std::size_t n, Value* out) const;
+  /// Batched range scans: out_counts[i] = the number of entries with key
+  /// >= ops[i].min_key, ascending, written to ops[i].out (at most
+  /// ops[i].cap). Start keys need not be sorted or distinct; the per-op
+  /// output buffers must not alias.
+  virtual void ScanBatch(const ScanOp* ops, std::size_t n,
+                         std::size_t* out_counts) const = 0;
 
-  /// Batched upserts, equivalent to Insert(ops[i].key, ops[i].ptr) in
-  /// order; duplicate keys within the batch resolve to the last
-  /// occurrence. Same default-loop / native-override contract as
-  /// SearchBatch. Forwards to the status-reporting overload below.
-  void InsertBatch(const core::Record* ops, std::size_t n) {
-    InsertBatch(ops, n, nullptr);
+  /// Upsert. `value` must not be kNoValue. Throws std::bad_alloc when the
+  /// pool cannot supply the space the op needs.
+  void Insert(Key key, Value value) {
+    const core::Record op{key, value};
+    InsertBatch(&op, 1, nullptr);
   }
 
-  /// Batched upserts with per-op result codes: when `out` is non-null,
-  /// out[i] reports whether op i created its key (kInserted) or overwrote
-  /// an existing entry (kUpdated) — the service tier's Put replies depend
-  /// on this. The core tree reports exactly from its leaf upsert; the
-  /// sharded/hashed adapters scatter each shard group's statuses back to
-  /// batch positions; the default adapter (adapters.cc) falls back to a
-  /// Search-then-Insert probe per op, which is exact for a quiesced index
-  /// but best-effort when a concurrent writer races the same key.
-  virtual void InsertBatch(const core::Record* ops, std::size_t n,
-                           InsertStatus* out);
+  /// Returns false if the key was absent.
+  bool Remove(Key key) {
+    bool removed = false;
+    RemoveBatch(&key, 1, &removed);
+    return removed;
+  }
+
+  /// kNoValue if absent.
+  Value Search(Key key) const {
+    Value v = kNoValue;
+    SearchBatch(&key, 1, &v);
+    return v;
+  }
 
   /// Up to `max_results` entries with key >= min_key, ascending. Returns
   /// the count written to `out`.
-  virtual std::size_t Scan(Key min_key, std::size_t max_results,
-                           core::Record* out) const = 0;
-
-  /// Batched range scans: out_counts[i] = Scan(ops[i].min_key, ops[i].cap,
-  /// ops[i].out) for every i. Start keys need not be sorted or distinct;
-  /// the per-op output buffers must not alias. Same default-loop / native-
-  /// override contract as SearchBatch: the default is a plain Scan loop
-  /// (adapters.cc), the core tree interleaves grouped descents and
-  /// hand-over-hand leaf-chain drains (core/btree.h), the range-sharded
-  /// adapter buckets start keys per shard and drains merge-free, and the
-  /// hash-sharded adapter k-way-merges per batch entry (DESIGN.md §8.3).
-  virtual void ScanBatch(const ScanOp* ops, std::size_t n,
-                         std::size_t* out_counts) const;
+  std::size_t Scan(Key min_key, std::size_t max_results,
+                   core::Record* out) const {
+    const ScanOp op{min_key, max_results, out};
+    std::size_t got = 0;
+    ScanBatch(&op, 1, &got);
+    return got;
+  }
 
   virtual std::string_view name() const = 0;
 
@@ -118,12 +139,12 @@ class Index {
   virtual bool supports_concurrency() const { return false; }
 
   /// Total live entries. Quiescent-state helper for tests and examples; the
-  /// default walks the index with batched Scans, adapters with a native
-  /// counter override it.
+  /// default walks the index with Scans, adapters with a native counter
+  /// override it.
   virtual std::size_t CountEntries() const;
 
   /// Streaming scan starting at the first key >= `min_key`. The default
-  /// adapts the batched Scan entry point (adapters.cc), so every registered
+  /// refills through ScanBatch (adapters.cc), so every registered
   /// kind gets an iterator for free; composite indexes override it to
   /// stream across sub-indexes without materializing (sharded: shard
   /// chaining; hashed: bounded k-way merge). The iterator borrows the

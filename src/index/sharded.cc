@@ -186,179 +186,125 @@ std::vector<std::size_t> ShardedIndex::ShardEntryCounts() const {
   return detail::PerShardEntryCounts(shards_);
 }
 
-void ShardedIndex::Insert(Key key, Value value) {
-  // The guard spans route + apply, mirroring Search: each of Rebalance's
-  // grace periods waits out every pinned op, so a writer that routed
-  // under pre-transition state provably finishes before the phase that
-  // depends on it starts. The pin also means `active_` cannot flip while
-  // this op is in flight (the publish comes after a grace period).
-  pm::EpochGuard guard;
-  const unsigned a = active_.load(std::memory_order_seq_cst);
-  const std::size_t s = ShardWith(bounds_[a], key);
-  if (migrating_.load(std::memory_order_seq_cst)) {
-    const std::size_t t = ShardWith(bounds_[a ^ 1u], key);
-    if (t != s) {
-      // Dual-route (DESIGN.md §4.3): apply under the currently-routing
-      // boundaries first, bump the key's migration stripe, then apply
-      // under the other set. The stripe bump is the seqlock edge the
-      // copy loop synchronizes on — either the copy re-reads and sees
-      // this write, or this op's own second apply lands after the copy
-      // and is authoritative.
-      shards_[s]->Insert(key, value);
-      MigSeqOf(key).fetch_add(1, std::memory_order_acq_rel);
-      shards_[t]->Insert(key, value);
-      counters_[s].entries.fetch_add(1, std::memory_order_relaxed);
-      NoteOp(s);
-      return;
-    }
-  }
-  shards_[s]->Insert(key, value);
-  counters_[s].entries.fetch_add(1, std::memory_order_relaxed);
-  NoteOp(s);
-}
-
-bool ShardedIndex::Remove(Key key) {
-  pm::EpochGuard guard;  // same migration fencing as Insert
-  const unsigned a = active_.load(std::memory_order_seq_cst);
-  const std::size_t s = ShardWith(bounds_[a], key);
-  bool removed;
-  if (migrating_.load(std::memory_order_seq_cst)) {
-    const std::size_t t = ShardWith(bounds_[a ^ 1u], key);
-    if (t != s) {
-      removed = shards_[s]->Remove(key);
-      MigSeqOf(key).fetch_add(1, std::memory_order_acq_rel);
-      removed = shards_[t]->Remove(key) || removed;
-      if (removed) {
-        counters_[s].entries.fetch_sub(1, std::memory_order_relaxed);
-      }
-      NoteOp(s);
-      return removed;
-    }
-  }
-  removed = shards_[s]->Remove(key);
-  if (removed) counters_[s].entries.fetch_sub(1, std::memory_order_relaxed);
-  NoteOp(s);
-  return removed;
-}
-
-Value ShardedIndex::Search(Key key) const {
-  // The guard spans route + lookup: Rebalance() publishes new boundaries
-  // and then *waits for every pinned reader* before deleting the old
-  // copies, so a reader that routed under the old boundaries still finds
-  // its key in the old shard. (Same epoch machinery that defers node
-  // recycling, pm/reclaim.h, reused as a routing grace period.)
-  pm::EpochGuard guard;
-  return shards_[ShardOf(key)]->Search(key);
-}
-
-std::size_t ShardedIndex::Scan(Key min_key, std::size_t max_results,
-                               core::Record* out) const {
-  pm::EpochGuard guard;  // same routing grace period as Search
-  // Shards are ordered ranges: walking them in index order and concatenating
-  // the per-shard (sorted) results yields a globally sorted scan. Every key
-  // in a shard past the first is >= that shard's range floor > min_key.
-  std::size_t total = 0;
-  const std::size_t first = ShardOf(min_key);
-  for (std::size_t s = first; s < shards_.size() && total < max_results; ++s) {
-    total += shards_[s]->Scan(s == first ? min_key : Key{0},
-                              max_results - total, out + total);
-  }
-  return total;
-}
-
 std::size_t ShardedIndex::CountEntries() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->CountEntries();
   return total;
 }
 
+template <class ApplyFn>
+std::size_t ShardedIndex::DualRoute(Key key, ApplyFn&& apply) {
+  const unsigned a = active_.load(std::memory_order_seq_cst);
+  const std::size_t s = ShardWith(bounds_[a], key);
+  const std::size_t t = ShardWith(bounds_[a ^ 1u], key);
+  // The stripe bump between the applies is the seqlock edge Rebalance's
+  // copy loop synchronizes on: either the copy re-reads and sees this
+  // write, or the second apply lands after the copy and is authoritative.
+  if (apply(s, true) && t != s) {
+    MigSeqOf(key).fetch_add(1, std::memory_order_acq_rel);
+    apply(t, false);
+  }
+  return s;
+}
+
 void ShardedIndex::SearchBatch(const Key* keys, std::size_t n,
                                Value* out) const {
-  if (n == 0) return;
-  // One pin covers routing *and* lookups for the whole batch (the scalar
-  // path pins per key): Rebalance's publish waits out this single guard,
-  // so every key routed under the old boundaries still finds its copy.
+  // The pin spans route + lookup: Rebalance() publishes new boundaries and
+  // then waits for every pinned op before deleting the old copies, so a
+  // key routed under the old boundaries still finds its copy. (The epoch
+  // machinery that defers node recycling, pm/reclaim.h, reused as a
+  // routing grace period.)
   pm::EpochGuard guard;
-  std::vector<Value> vals;
   detail::DispatchBatchByShard(
-      keys, n, shards_.size(), [this](Key k) { return ShardOf(k); },
-      [&](std::size_t s, const Key* gk, std::size_t len,
-          const std::uint32_t* pos) {
-        vals.resize(len);
-        shards_[s]->SearchBatch(gk, len, vals.data());
-        for (std::size_t j = 0; j < len; ++j) out[pos[j]] = vals[j];
+      keys, n, out, shards_.size(), [this](Key k) { return ShardOf(k); },
+      [this](std::size_t s, const Key* gk, std::size_t len, Value* gout) {
+        shards_[s]->SearchBatch(gk, len, gout);
       });
 }
 
 void ShardedIndex::ScanBatch(const ScanOp* ops, std::size_t n,
                              std::size_t* out_counts) const {
-  if (n == 0) return;
-  // One pin covers routing and every per-shard drain (the scalar Scan pins
-  // per call); Rebalance's publish waits this guard out like any reader's.
-  pm::EpochGuard guard;
-  std::vector<std::size_t> counts;
+  pm::EpochGuard guard;  // same routing grace period as SearchBatch
   detail::DispatchBatchByShard(
-      ops, n, shards_.size(),
+      ops, n, out_counts, shards_.size(),
       [this](const ScanOp& op) { return ShardOf(op.min_key); },
-      [&](std::size_t s, const ScanOp* gops, std::size_t len,
-          const std::uint32_t* pos) {
-        counts.resize(len);
-        shards_[s]->ScanBatch(gops, len, counts.data());
+      [this](std::size_t s, const ScanOp* gops, std::size_t len,
+             std::size_t* counts) {
+        shards_[s]->ScanBatch(gops, len, counts);
+        // Shards are ordered ranges: an op short of its cap resumes in the
+        // next shard from key 0, and every key there exceeds its start
+        // key, so the concatenation stays globally sorted.
         for (std::size_t j = 0; j < len; ++j) {
-          std::size_t got = counts[j];
-          // Merge-free seam continuation: shards are ordered ranges, so an
-          // op short of its cap resumes in the next shard from key 0 and
-          // the concatenation stays globally sorted (same walk as Scan).
           for (std::size_t t = s + 1;
-               t < shards_.size() && got < gops[j].cap; ++t) {
-            got += shards_[t]->Scan(Key{0}, gops[j].cap - got,
-                                    gops[j].out + got);
+               t < shards_.size() && counts[j] < gops[j].cap; ++t) {
+            counts[j] += shards_[t]->Scan(Key{0}, gops[j].cap - counts[j],
+                                          gops[j].out + counts[j]);
           }
-          out_counts[pos[j]] = got;
         }
       });
 }
 
 void ShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
                                InsertStatus* out) {
-  if (n == 0) return;
-  // One pin covers routing and every shard group, mirroring SearchBatch —
-  // and, like the scalar writers, it is the unit Rebalance's grace
-  // periods wait on, so `active_` cannot flip mid-batch.
+  // The pin spans route + apply: each of Rebalance's grace periods waits
+  // out every pinned op, so a batch that routed under pre-transition state
+  // finishes before the phase that depends on it starts, and `active_`
+  // cannot flip mid-batch.
   pm::EpochGuard guard;
   if (migrating_.load(std::memory_order_seq_cst)) {
-    // Migration window: fall back to per-key dual-routing (Insert pins
-    // reentrantly). Batched dual-dispatch would buy little — the window
-    // is bounded by one Rebalance — and the scalar path is the one whose
-    // exactly-once protocol is proven.
     for (std::size_t i = 0; i < n; ++i) {
-      if (out != nullptr) {
-        out[i] = Search(ops[i].key) == kNoValue ? InsertStatus::kInserted
-                                                : InsertStatus::kUpdated;
-      }
-      try {
-        Insert(ops[i].key, ops[i].ptr);
-      } catch (const std::bad_alloc&) {
-        if (out != nullptr) out[i] = InsertStatus::kNoSpace;
-      }
+      InsertStatus st = InsertStatus::kInserted;
+      const std::size_t s =
+          DualRoute(ops[i].key, [&](std::size_t x, bool routing) {
+            InsertStatus xs = InsertStatus::kInserted;
+            shards_[x]->InsertBatch(&ops[i], 1,
+                                    out != nullptr ? &xs : nullptr);
+            if (out == nullptr) return true;  // exhaustion threw instead
+            // Readers observe the routing apply's status; a failed second
+            // apply still reports the op as not (fully) applied.
+            if (routing || xs == InsertStatus::kNoSpace) st = xs;
+            return xs != InsertStatus::kNoSpace;
+          });
+      if (out != nullptr) out[i] = st;
+      counters_[s].entries.fetch_add(1, std::memory_order_relaxed);
+      NoteOps(s, 1);
     }
     return;
   }
-  std::vector<InsertStatus> st;
   detail::DispatchBatchByShard(
-      ops, n, shards_.size(),
+      ops, n, out, shards_.size(),
       [this](const core::Record& r) { return ShardOf(r.key); },
-      [&](std::size_t s, const core::Record* gops, std::size_t len,
-          const std::uint32_t* pos) {
-        if (out != nullptr) {
-          st.resize(len);
-          shards_[s]->InsertBatch(gops, len, st.data());
-          for (std::size_t j = 0; j < len; ++j) out[pos[j]] = st[j];
-        } else {
-          shards_[s]->InsertBatch(gops, len);
-        }
+      [this](std::size_t s, const core::Record* gops, std::size_t len,
+             InsertStatus* st) {
+        shards_[s]->InsertBatch(gops, len, st);
         counters_[s].entries.fetch_add(static_cast<std::int64_t>(len),
                                        std::memory_order_relaxed);
+        NoteOps(s, len);
+      });
+}
+
+void ShardedIndex::RemoveBatch(const Key* keys, std::size_t n, bool* out) {
+  pm::EpochGuard guard;  // same migration fencing as InsertBatch
+  if (migrating_.load(std::memory_order_seq_cst)) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = false;
+      const std::size_t s = DualRoute(keys[i], [&](std::size_t x, bool) {
+        bool removed = false;
+        shards_[x]->RemoveBatch(&keys[i], 1, &removed);
+        out[i] = out[i] || removed;
+        return true;
+      });
+      if (out[i]) counters_[s].entries.fetch_sub(1, std::memory_order_relaxed);
+      NoteOps(s, 1);
+    }
+    return;
+  }
+  detail::DispatchBatchByShard(
+      keys, n, out, shards_.size(), [this](Key k) { return ShardOf(k); },
+      [this](std::size_t s, const Key* gk, std::size_t len, bool* removed) {
+        shards_[s]->RemoveBatch(gk, len, removed);
+        const auto hits = std::count(removed, removed + len, true);
+        counters_[s].entries.fetch_sub(hits, std::memory_order_relaxed);
         NoteOps(s, len);
       });
 }

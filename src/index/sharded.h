@@ -88,17 +88,25 @@ void BucketByShard(const std::uint32_t* shard_ids, std::size_t n,
                    std::size_t num_shards, std::vector<std::uint32_t>* order,
                    std::vector<std::size_t>* start);
 
-/// The shared batch driver behind all four sharded batch entry points:
-/// routes every element with `shard_of`, stable-buckets the batch
+/// The shared batch driver behind the sharded adapters' batch entry
+/// points: routes every element with `shard_of`, stable-buckets the batch
 /// (BucketByShard), gathers each shard's elements contiguously (original
-/// order preserved, so duplicate-key upsert semantics survive), and hands
-/// each non-empty group to `dispatch(shard, elems, len, positions)` —
-/// `positions` being the group's original batch indexes, for scattering
-/// per-element results back to the caller's slots.
-template <class Elem, class ShardOfFn, class DispatchFn>
-void DispatchBatchByShard(const Elem* elems, std::size_t n,
+/// order preserved, so duplicate-key semantics survive), and hands each
+/// non-empty group to `run(shard, elems, len, results)`, which writes the
+/// group's per-element results to `results[0..len)`; they scatter back to
+/// `out` at the elements' batch positions. `out` may be null (results
+/// unwanted); `run` then gets a null `results` too. A batch of one — every
+/// scalar call on a sharded kind — goes straight to its shard with no
+/// bucketing and no heap allocation.
+template <class Elem, class Out, class ShardOfFn, class RunFn>
+void DispatchBatchByShard(const Elem* elems, std::size_t n, Out* out,
                           std::size_t num_shards, ShardOfFn&& shard_of,
-                          DispatchFn&& dispatch) {
+                          RunFn&& run) {
+  if (n == 0) return;
+  if (n == 1) {
+    run(static_cast<std::size_t>(shard_of(elems[0])), elems, 1, out);
+    return;
+  }
   std::vector<std::uint32_t> shard_ids(n);
   for (std::size_t i = 0; i < n; ++i) {
     shard_ids[i] = static_cast<std::uint32_t>(shard_of(elems[i]));
@@ -108,11 +116,17 @@ void DispatchBatchByShard(const Elem* elems, std::size_t n,
   BucketByShard(shard_ids.data(), n, num_shards, &order, &start);
   std::vector<Elem> gathered(n);
   for (std::size_t p = 0; p < n; ++p) gathered[p] = elems[order[p]];
+  // A plain array, not std::vector: Out may be bool.
+  const auto results =
+      out != nullptr ? std::make_unique_for_overwrite<Out[]>(n) : nullptr;
   for (std::size_t s = 0; s < num_shards; ++s) {
     const std::size_t len = start[s + 1] - start[s];
     if (len == 0) continue;
-    dispatch(s, gathered.data() + start[s], len, order.data() + start[s]);
+    run(s, gathered.data() + start[s], len,
+        results != nullptr ? results.get() + start[s] : nullptr);
   }
+  if (out == nullptr) return;
+  for (std::size_t p = 0; p < n; ++p) out[order[p]] = results[p];
 }
 }  // namespace detail
 
@@ -140,28 +154,23 @@ class ShardedIndex final : public Index {
   ShardedIndex(std::string name, std::vector<Key> boundaries,
                const ShardFactory& make);
 
-  void Insert(Key key, Value value) override;
-  bool Remove(Key key) override;
-  Value Search(Key key) const override;
-  std::size_t Scan(Key min_key, std::size_t max_results,
-                   core::Record* out) const override;
-
-  /// Native batch overrides (DESIGN.md §8.3): the batch is partitioned by
-  /// shard in one routing pass under a single epoch pin (scalar ops pin
-  /// per key), then each shard receives its sub-batch in original order —
-  /// one virtual call, one counter update, one histogram check per shard
-  /// group instead of one per key — and results (values, per-op insert
-  /// statuses) scatter back to the caller's positions.
+  /// The batch forms (DESIGN.md §8.3) route the whole batch in one pass
+  /// under a single epoch pin, then each shard receives its sub-batch in
+  /// original order — one virtual call, one counter update, one histogram
+  /// check per shard group instead of one per key — and results (values,
+  /// insert statuses, removed flags) scatter back to the caller's
+  /// positions. Through a Rebalance migration window, writes instead
+  /// dual-route key by key (DualRoute).
   void SearchBatch(const Key* keys, std::size_t n, Value* out) const override;
-  using Index::InsertBatch;  // keep the 2-arg convenience form visible
   void InsertBatch(const core::Record* ops, std::size_t n,
                    InsertStatus* out) override;
+  void RemoveBatch(const Key* keys, std::size_t n, bool* out) override;
 
   /// Batched scans: start keys bucket per shard (BucketByShard) so each
   /// shard drains its group through one native ScanBatch call; because the
   /// shards are ordered ranges the drains stay merge-free, and an op that
   /// exhausts its start shard short of `cap` continues into the following
-  /// shards from key 0, exactly like the scalar Scan's concatenation.
+  /// shards from key 0, so results stay globally sorted with no merge.
   void ScanBatch(const ScanOp* ops, std::size_t n,
                  std::size_t* out_counts) const override;
 
@@ -175,7 +184,7 @@ class ShardedIndex final : public Index {
   /// (tests/sharded_index_test.cc: CountEntriesDuringWritesIsRelaxed).
   std::size_t CountEntries() const override;
 
-  /// Streams shard by shard in range order — merge-free, like Scan.
+  /// Streams shard by shard in range order — merge-free, like ScanBatch.
   /// The iterator holds an epoch pin until it is exhausted or destroyed,
   /// so a Rebalance racing an open iterator cannot delete the stale
   /// copies (or reclaim drained nodes) out from under it: the snapshot
@@ -310,10 +319,19 @@ class ShardedIndex final : public Index {
     return mig_seq_[(key * 0x9E3779B97F4A7C15ull) >> (64 - kMigStripeBits)];
   }
 
+  /// The migration-window write path (DESIGN.md §4.3) for one key: apply
+  /// under the routing boundaries, bump the key's migration stripe, then
+  /// apply under the staged set when it routes the key elsewhere — both
+  /// routes from ONE active_ load. `apply(shard, routing)` performs the op
+  /// on one shard (`routing` is true for the first, reader-visible apply)
+  /// and returns false when it failed, which skips the second apply.
+  /// Returns the routing shard.
+  template <class ApplyFn>
+  std::size_t DualRoute(Key key, ApplyFn&& apply);
+
   void BuildShards(std::size_t num_shards, const ShardFactory& make);
-  void NoteOp(std::size_t shard) const { NoteOps(shard, 1); }
-  /// Bulk form: one counter add for a batch's whole shard group; samples
-  /// the histogram when the add crosses a sampling-interval boundary.
+  /// One counter add for `k` routed mutations on `shard`; samples the
+  /// histogram when the add crosses a sampling-interval boundary.
   void NoteOps(std::size_t shard, std::uint64_t k) const;
   void SampleHistogram() const;
 

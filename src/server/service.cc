@@ -284,7 +284,12 @@ void KvService::WorkerLoop(std::size_t w) {
         }
       }
     }
-    ExecuteGroup(wk, reqs);
+    // Baseline shape in scalar mode: each request executes alone, as its
+    // own group of one — no descent interleaving, no shared grouped stalls.
+    const std::size_t group = opts_.scalar_dispatch ? 1 : reqs.size();
+    for (std::size_t i = 0; i < reqs.size(); i += group) {
+      ExecuteGroup(wk, reqs.data() + i, std::min(group, reqs.size() - i));
+    }
   }
   wk.pm_delta = pm::Stats() - start;
 }
@@ -326,7 +331,8 @@ KvService::FlushReason KvService::GatherGroup(
   }
 }
 
-void KvService::ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs) {
+void KvService::ExecuteGroup(Worker& wk, detail::Request* reqs,
+                             std::size_t n) {
   // Deadline pass: requests that expired while queued (ring wait plus
   // group formation) complete as kDeadlineExceeded right here and never
   // occupy a batch slot. The clock is read at most once, and only when
@@ -334,7 +340,7 @@ void KvService::ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs) {
   {
     std::uint64_t now = 0;
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const detail::Request& r = reqs[i];
       bool expired = false;
       if (FASTFAIR_UNLIKELY(r.deadline_ns != 0)) {
@@ -351,146 +357,86 @@ void KvService::ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs) {
         ++kept;
       }
     }
-    reqs.resize(kept);
+    n = kept;
   }
-  const std::size_t n = reqs.size();
   if (n == 0) return;
   std::vector<ReqStatus>& st = wk.req_st;
   st.assign(n, ReqStatus::kOk);
+  // Positions of the group's requests of one type, in group order.
+  std::vector<std::uint32_t>& pos = wk.pos;
+  const auto gather = [&](detail::OpType type) {
+    pos.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (reqs[i].type == type) pos.push_back(static_cast<std::uint32_t>(i));
+    }
+    return pos.size();
+  };
   // One reader pin for the whole group; the index's own batch pins nest
-  // reentrantly inside it.
+  // reentrantly inside it. Writes before reads (header ordering
+  // contract), each type through its batch entry point, so the sharded
+  // adapters route per shard and the core tree interleaves descents.
   pm::EpochGuard guard;
-  if (opts_.scalar_dispatch) {
-    // Baseline shape: every request goes through the scalar entry points,
-    // one at a time — no descent interleaving, no shared grouped stalls.
-    for (std::size_t i = 0; i < n; ++i) {
-      const detail::Request& r = reqs[i];
-      switch (r.type) {
-        case detail::OpType::kGet: {
-          const Value v = index_->Search(r.key);
-          r.done->value_ = v;
-          st[i] = v == kNoValue ? ReqStatus::kNotFound : ReqStatus::kOk;
-          ++wk.gets;
-          break;
-        }
-        case detail::OpType::kPut: {
-          const core::Record rec{r.key, r.value};
-          InsertStatus is;
-          index_->InsertBatch(&rec, 1, &is);
-          if (FASTFAIR_UNLIKELY(is == InsertStatus::kNoSpace)) {
-            st[i] = ReqStatus::kRejectedCapacity;
-            r.done->retry_after_us_ =
-                static_cast<std::uint32_t>(opts_.capacity_backoff_us);
-            EnterDegraded();
-          } else {
-            st[i] = is == InsertStatus::kInserted ? ReqStatus::kInserted
-                                                  : ReqStatus::kUpdated;
-          }
-          ++wk.puts;
-          break;
-        }
-        case detail::OpType::kDel:
-          st[i] = index_->Remove(r.key) ? ReqStatus::kOk
-                                        : ReqStatus::kNotFound;
-          ++wk.dels;
-          break;
-        case detail::OpType::kScan:
-          r.done->scan_n_ = static_cast<std::uint32_t>(
-              index_->Scan(r.key, r.scan_cap, r.scan_out));
-          ++wk.scans;
-          break;
+  if (const std::size_t m = gather(detail::OpType::kPut); m != 0) {
+    wk.put_recs.resize(m);
+    wk.put_st.resize(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      wk.put_recs[j] = {reqs[pos[j]].key, reqs[pos[j]].value};
+    }
+    index_->InsertBatch(wk.put_recs.data(), m, wk.put_st.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      const InsertStatus is = wk.put_st[j];
+      if (FASTFAIR_UNLIKELY(is == InsertStatus::kNoSpace)) {
+        st[pos[j]] = ReqStatus::kRejectedCapacity;
+        reqs[pos[j]].done->retry_after_us_ =
+            static_cast<std::uint32_t>(opts_.capacity_backoff_us);
+        EnterDegraded();
+      } else {
+        st[pos[j]] = is == InsertStatus::kInserted ? ReqStatus::kInserted
+                                                   : ReqStatus::kUpdated;
       }
     }
-    wk.groups += n;  // each op is its own "group": AvgGroupOps stays 1
-  } else {
-    // Writes before reads (header ordering contract), each class through
-    // its batch entry point so the sharded adapters route per shard and
-    // the core tree interleaves descents.
-    std::vector<core::Record>& put_recs = wk.put_recs;
-    std::vector<std::uint32_t>& put_pos = wk.put_pos;
-    put_recs.clear();
-    put_pos.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (reqs[i].type == detail::OpType::kPut) {
-        put_recs.push_back({reqs[i].key, reqs[i].value});
-        put_pos.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    if (!put_recs.empty()) {
-      wk.put_st.resize(put_recs.size());
-      index_->InsertBatch(put_recs.data(), put_recs.size(),
-                          wk.put_st.data());
-      for (std::size_t j = 0; j < put_pos.size(); ++j) {
-        const InsertStatus is = wk.put_st[j];
-        if (FASTFAIR_UNLIKELY(is == InsertStatus::kNoSpace)) {
-          st[put_pos[j]] = ReqStatus::kRejectedCapacity;
-          reqs[put_pos[j]].done->retry_after_us_ =
-              static_cast<std::uint32_t>(opts_.capacity_backoff_us);
-          EnterDegraded();
-        } else {
-          st[put_pos[j]] = is == InsertStatus::kInserted
-                               ? ReqStatus::kInserted
-                               : ReqStatus::kUpdated;
-        }
-      }
-      wk.puts += put_recs.size();
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (reqs[i].type == detail::OpType::kDel) {
-        st[i] = index_->Remove(reqs[i].key) ? ReqStatus::kOk
-                                            : ReqStatus::kNotFound;
-        ++wk.dels;
-      }
-    }
-    std::vector<Key>& get_keys = wk.get_keys;
-    std::vector<std::uint32_t>& get_pos = wk.get_pos;
-    get_keys.clear();
-    get_pos.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (reqs[i].type == detail::OpType::kGet) {
-        get_keys.push_back(reqs[i].key);
-        get_pos.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    if (!get_keys.empty()) {
-      wk.get_vals.resize(get_keys.size());
-      index_->SearchBatch(get_keys.data(), get_keys.size(),
-                          wk.get_vals.data());
-      for (std::size_t j = 0; j < get_pos.size(); ++j) {
-        const Value v = wk.get_vals[j];
-        reqs[get_pos[j]].done->value_ = v;
-        st[get_pos[j]] =
-            v == kNoValue ? ReqStatus::kNotFound : ReqStatus::kOk;
-      }
-      wk.gets += get_keys.size();
-    }
-    // Scans join the grouped execution too: the group's kScan requests
-    // form one Index::ScanBatch call — grouped descents to the start
-    // leaves and interleaved leaf-chain drains (core/btree.h) instead of
-    // one scalar walk per request — still under this group's single pin.
-    std::vector<ScanOp>& scan_ops = wk.scan_ops;
-    std::vector<std::uint32_t>& scan_pos = wk.scan_pos;
-    scan_ops.clear();
-    scan_pos.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (reqs[i].type == detail::OpType::kScan) {
-        scan_ops.push_back(
-            {reqs[i].key, reqs[i].scan_cap, reqs[i].scan_out});
-        scan_pos.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    if (!scan_ops.empty()) {
-      wk.scan_counts.resize(scan_ops.size());
-      index_->ScanBatch(scan_ops.data(), scan_ops.size(),
-                        wk.scan_counts.data());
-      for (std::size_t j = 0; j < scan_pos.size(); ++j) {
-        reqs[scan_pos[j]].done->scan_n_ =
-            static_cast<std::uint32_t>(wk.scan_counts[j]);
-      }
-      wk.scans += scan_ops.size();
-    }
-    wk.groups += 1;
+    wk.puts += m;
   }
+  if (const std::size_t m = gather(detail::OpType::kDel); m != 0) {
+    wk.keys.resize(m);
+    for (std::size_t j = 0; j < m; ++j) wk.keys[j] = reqs[pos[j]].key;
+    if (wk.removed_cap < m) {
+      wk.removed = std::make_unique_for_overwrite<bool[]>(m);
+      wk.removed_cap = m;
+    }
+    index_->RemoveBatch(wk.keys.data(), m, wk.removed.get());
+    for (std::size_t j = 0; j < m; ++j) {
+      st[pos[j]] = wk.removed[j] ? ReqStatus::kOk : ReqStatus::kNotFound;
+    }
+    wk.dels += m;
+  }
+  if (const std::size_t m = gather(detail::OpType::kGet); m != 0) {
+    wk.keys.resize(m);
+    wk.get_vals.resize(m);
+    for (std::size_t j = 0; j < m; ++j) wk.keys[j] = reqs[pos[j]].key;
+    index_->SearchBatch(wk.keys.data(), m, wk.get_vals.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      const Value v = wk.get_vals[j];
+      reqs[pos[j]].done->value_ = v;
+      st[pos[j]] = v == kNoValue ? ReqStatus::kNotFound : ReqStatus::kOk;
+    }
+    wk.gets += m;
+  }
+  if (const std::size_t m = gather(detail::OpType::kScan); m != 0) {
+    wk.scan_ops.resize(m);
+    wk.scan_counts.resize(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      const detail::Request& r = reqs[pos[j]];
+      wk.scan_ops[j] = {r.key, r.scan_cap, r.scan_out};
+    }
+    index_->ScanBatch(wk.scan_ops.data(), m, wk.scan_counts.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      reqs[pos[j]].done->scan_n_ =
+          static_cast<std::uint32_t>(wk.scan_counts[j]);
+    }
+    wk.scans += m;
+  }
+  wk.groups += 1;
   // One clock read per group; the status store is the publication point
   // for every result field written above.
   const std::uint64_t now = pm::NowNs();

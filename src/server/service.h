@@ -250,7 +250,7 @@ struct ServiceOptions {
   /// Completion::retry_after_us().
   std::uint64_t capacity_backoff_us = 1000;
   /// Baseline mode for benchmarks/tests: workers execute each drained
-  /// request individually through the scalar Index entry points — the
+  /// request alone, as its own group of one, through the same path — the
   /// pre-batching service shape bench_service gates against.
   bool scalar_dispatch = false;
   /// Fingerprint probe tier (DESIGN.md §9.4) for hashed-* indexes: the
@@ -337,14 +337,15 @@ class KvService {
     std::uint64_t deadline_hits = 0;  // ops expired before execution
     pm::ThreadStats pm_delta;  // set once at worker exit
     std::vector<detail::Request> reqs;
+    std::vector<std::uint32_t> pos;  // one request type's group positions
+    std::vector<Key> keys;           // Del, then Get keys
     std::vector<core::Record> put_recs;
     std::vector<InsertStatus> put_st;
-    std::vector<std::uint32_t> put_pos;
-    std::vector<Key> get_keys;
+    // RemoveBatch results: not a std::vector<bool>, which has no data().
+    std::unique_ptr<bool[]> removed;
+    std::size_t removed_cap = 0;
     std::vector<Value> get_vals;
-    std::vector<std::uint32_t> get_pos;
     std::vector<ScanOp> scan_ops;
-    std::vector<std::uint32_t> scan_pos;
     std::vector<std::size_t> scan_counts;
     std::vector<ReqStatus> req_st;
   };
@@ -355,7 +356,9 @@ class KvService {
   std::size_t DrainAssigned(std::size_t w, std::vector<detail::Request>* out,
                             std::size_t budget);
   FlushReason GatherGroup(std::size_t w, std::vector<detail::Request>* reqs);
-  void ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs);
+  /// Executes reqs[0..n) as one group, the service's one execution path
+  /// (scalar mode calls it once per request).
+  void ExecuteGroup(Worker& wk, detail::Request* reqs, std::size_t n);
   void CompleteRemaining(ReqStatus status);
   /// Degraded-mode gate for the submit path: 0 when writes are admitted,
   /// else the microseconds remaining in the capacity-backoff window (the

@@ -39,13 +39,13 @@ std::unique_ptr<Index> MakeTable(std::string_view kind, pm::Pool* pool,
 
 // Buffers (key, row) pairs and forwards them through InsertBatch in chunks
 // of `cap` — the batched population path for the bulk tables. cap <= 1
-// degenerates to scalar inserts; the destructor flushes the tail.
+// degenerates to scalar inserts; the caller flushes the tail. Pool
+// exhaustion throws std::bad_alloc out of Add or Flush, like Insert.
 class Batcher {
  public:
   Batcher(Index* idx, std::size_t cap) : idx_(idx), cap_(cap) {
     if (cap_ > 1) buf_.reserve(cap_);
   }
-  ~Batcher() { Flush(); }
 
   void Add(Key key, Value value) {
     if (cap_ <= 1) {
@@ -58,7 +58,7 @@ class Batcher {
 
   void Flush() {
     if (!buf_.empty()) {
-      idx_->InsertBatch(buf_.data(), buf_.size());
+      idx_->InsertBatch(buf_.data(), buf_.size(), nullptr);
       buf_.clear();
     }
   }

@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -33,7 +36,7 @@ TEST(BatchOps, EmptyBatchIsANoOp) {
   EXPECT_EQ(tree.CountEntries(), 0u);
 
   auto idx = MakeIndex("sharded-fastfair:4", &pool);
-  idx->InsertBatch(nullptr, 0);
+  idx->InsertBatch(nullptr, 0, nullptr);
   idx->SearchBatch(nullptr, 0, nullptr);
   EXPECT_EQ(idx->CountEntries(), 0u);
 }
@@ -92,7 +95,7 @@ TEST(BatchOps, BatchesSpanShardBoundaries) {
     std::vector<core::Record> ops;
     ops.reserve(keys.size());
     for (const Key k : keys) ops.push_back({k, ValueFor(k)});
-    idx->InsertBatch(ops.data(), ops.size());
+    idx->InsertBatch(ops.data(), ops.size(), nullptr);
     EXPECT_EQ(idx->CountEntries(), keys.size()) << kind;
 
     std::vector<Value> vals(keys.size());
@@ -295,7 +298,7 @@ TEST(BatchOps, InsertBatchReportsInsertVersusUpdate) {
   // kUpdated, and a duplicate later in the SAME batch sees the earlier
   // entry (batch order is the contract). Exercised on the core tree
   // (native path) first, then through every registry adapter — sharded
-  // scatter, hashed scatter, and the probe-based default loop alike.
+  // scatter, hashed scatter, and Wrap<T>'s probe-based loop alike.
   {
     pm::Pool pool(std::size_t{256} << 20);
     core::BTree tree(&pool);
@@ -441,7 +444,7 @@ TEST(ScanBatch, SpansShardSeams) {
     const auto keys = bench::UniformKeys(20000, 99);
     std::vector<core::Record> rows;
     for (const Key k : keys) rows.push_back({k, ValueFor(k)});
-    idx->InsertBatch(rows.data(), rows.size());
+    idx->InsertBatch(rows.data(), rows.size(), nullptr);
 
     // Caps big enough that a range shard's tail forces the seam hop.
     constexpr std::size_t kCap = 600;
@@ -476,14 +479,14 @@ TEST(ScanBatch, SpansShardSeams) {
 }
 
 TEST(ScanBatch, DefaultAdapterCoversEveryRegisteredKind) {
-  // Kinds without a native ScanBatch ride the Index default loop; kinds
-  // with one (fastfair, sharded-*, hashed-*) must agree with it.
+  // Kinds without a native ScanBatch ride Wrap<T>'s per-op loop; every
+  // kind's multi-op batches must agree with its batches of one (Scan).
   for (const auto& kind : AllIndexKinds()) {
     pm::Pool pool(std::size_t{256} << 20);
     auto idx = MakeIndex(kind, &pool);
     std::vector<core::Record> rows;
     for (Key k = 2; k <= 4096; k += 2) rows.push_back({k, ValueFor(k)});
-    idx->InsertBatch(rows.data(), rows.size());
+    idx->InsertBatch(rows.data(), rows.size(), nullptr);
 
     constexpr std::size_t kCap = 48;
     std::vector<Key> starts = {1, 2, 3, 4000, 4096, 5000, 777, 777};
@@ -670,13 +673,13 @@ TEST(ScanBatch, RacesConcurrentRebalance) {
 
 TEST(BatchOps, DefaultAdapterCoversEveryRegisteredKind) {
   // The virtual batch entry points must behave for kinds without a native
-  // pipeline too (default loop adapter).
+  // pipeline too (Wrap<T>'s per-op loop).
   for (const auto& kind : AllIndexKinds()) {
     pm::Pool pool(std::size_t{256} << 20);
     auto idx = MakeIndex(kind, &pool);
     std::vector<core::Record> ops;
     for (Key k = 2; k <= 512; k += 2) ops.push_back({k, ValueFor(k)});
-    idx->InsertBatch(ops.data(), ops.size());
+    idx->InsertBatch(ops.data(), ops.size(), nullptr);
     std::vector<Key> probes;
     for (Key k = 1; k <= 512; ++k) probes.push_back(k);
     std::vector<Value> vals(probes.size());
@@ -684,6 +687,63 @@ TEST(BatchOps, DefaultAdapterCoversEveryRegisteredKind) {
     for (std::size_t i = 0; i < probes.size(); ++i) {
       const Key k = probes[i];
       EXPECT_EQ(vals[i], k % 2 == 0 ? ValueFor(k) : kNoValue) << kind;
+    }
+  }
+}
+
+TEST(BatchOps, RemoveBatchMatchesScalarOnEveryKind) {
+  // Each batch mixes present keys, absent keys and one key repeated within
+  // the batch; the results must equal removing the keys one at a time in
+  // batch order (a repeated present key: true, then false).
+  std::vector<std::string> kinds = AllIndexKinds();
+  kinds.push_back("sharded-fastfair:4");
+  kinds.push_back("hashed-fastfair:4");
+  for (const auto& kind : kinds) {
+    SCOPED_TRACE("kind=" + kind);
+    pm::Pool pool(std::size_t{64} << 20);
+    auto idx = MakeIndex(kind, &pool);
+    // Spread over the whole 2^64 space: every multi-key batch straddles
+    // shard seams of the range partition (and of the hash one).
+    const auto keys = bench::UniformKeys(2000, 5);
+    std::vector<core::Record> ops;
+    for (const Key k : keys) ops.push_back({k, ValueFor(k)});
+    idx->InsertBatch(ops.data(), ops.size(), nullptr);
+    std::set<Key> live(keys.begin(), keys.end());
+
+    Rng rng(11);
+    std::size_t next = 0;
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{8}, std::size_t{9},
+                                    std::size_t{17}}) {
+      for (int round = 0; round < 4; ++round) {
+        std::vector<Key> del;
+        for (std::size_t i = 0; i < batch; ++i) {
+          del.push_back(i % 4 == 3 ? (rng.Next() | 1) : keys[next++]);
+        }
+        if (batch > 1) del[batch / 2] = del[0];  // repeated within the batch
+        if (const auto* sh = dynamic_cast<const ShardedIndex*>(idx.get());
+            sh != nullptr && batch > 1) {
+          std::set<std::size_t> shards;
+          for (const Key k : del) shards.insert(sh->ShardOf(k));
+          EXPECT_GT(shards.size(), 1u) << "batch=" << batch;
+        }
+        std::unique_ptr<bool[]> got(new bool[batch]);
+        idx->RemoveBatch(del.data(), batch, got.get());
+        for (std::size_t i = 0; i < batch; ++i) {
+          EXPECT_EQ(got[i], live.erase(del[i]) == 1)
+              << "batch=" << batch << " i=" << i;
+        }
+        if (batch > 1) {
+          EXPECT_TRUE(got[0]) << "batch=" << batch;
+          EXPECT_FALSE(got[batch / 2]) << "batch=" << batch;
+        }
+      }
+    }
+    EXPECT_EQ(idx->CountEntries(), live.size());
+    std::vector<Value> vals(keys.size());
+    idx->SearchBatch(keys.data(), keys.size(), vals.data());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(vals[i], live.count(keys[i]) ? ValueFor(keys[i]) : kNoValue);
     }
   }
 }

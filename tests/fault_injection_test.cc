@@ -11,9 +11,10 @@
 //     (pm::CheckPool) comes back clean.
 //  3. Every kind in the index registry survives the same sweep under a
 //     seeded insert/delete/scan mix — the op either succeeds or reports
-//     kNoSpace (baselines: throws std::bad_alloc, mapped by the default
+//     kNoSpace (baselines: throws std::bad_alloc, mapped by Wrap<T>'s
 //     InsertBatch); the process never aborts and the pool's free lists
-//     stay sound.
+//     stay sound. Without a status array the batch throws std::bad_alloc
+//     instead, like Insert.
 //  4. The SimMem persistence faults (dropped flush, flush deferred past
 //     its fence, torn 8-byte store) land in the event log exactly as
 //     specified — the raw material the crash-enumeration suites consume.
@@ -28,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <new>
 #include <set>
@@ -360,6 +362,48 @@ TEST(RegistryFaults, EveryKindSurvivesAllocFailureAtEverySite) {
         EXPECT_TRUE(report.ok()) << report.ToString();
       }
     }
+  }
+}
+
+// The null-out batch contract (DESIGN.md §11.1): an InsertBatch without a
+// status array throws std::bad_alloc once the pool runs dry, exactly like
+// Insert. It must neither return normally with ops silently dropped nor
+// throw anything else, and every key it did store reads back its own value.
+TEST(RegistryFaults, NullOutInsertBatchThrowsOnExhaustion) {
+  constexpr std::size_t kOps = 200000;
+  std::vector<core::Record> ops(kOps);
+  for (std::size_t i = 0; i < kOps; ++i) {
+    // Spread over the key space (every shard fills), distinct, nonzero.
+    ops[i] = {Key{i + 1} * 0x9E3779B97F4A7C15ull, Value{i + 1}};
+  }
+  for (const std::string& kind : AllIndexKinds()) {
+    SCOPED_TRACE("kind=" + kind);
+    pm::Pool pool(std::size_t{1} << 20);
+    auto idx = MakeIndex(kind, &pool);
+    bool threw_bad_alloc = false;
+    try {
+      idx->InsertBatch(ops.data(), kOps, nullptr);
+    } catch (const std::bad_alloc&) {
+      threw_bad_alloc = true;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "threw \"" << e.what() << "\", not std::bad_alloc";
+    } catch (...) {
+      ADD_FAILURE() << "threw a non-std::exception, not std::bad_alloc";
+    }
+    if (kind == "blink") {  // volatile DRAM reference: never uses the pool
+      EXPECT_FALSE(threw_bad_alloc);
+      continue;
+    }
+    EXPECT_TRUE(threw_bad_alloc)
+        << "returned normally: ops past the exhaustion were dropped";
+    std::size_t stored = 0;
+    for (const core::Record& op : ops) {
+      const Value v = idx->Search(op.key);
+      if (v == kNoValue) continue;
+      ++stored;
+      ASSERT_EQ(v, op.ptr) << "key " << op.key;
+    }
+    EXPECT_GT(stored, 0u);
   }
 }
 

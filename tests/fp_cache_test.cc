@@ -169,7 +169,7 @@ TEST(HashedProbeTier, BatchPathFillsAndInvalidates) {
   auto idx = MakeHashed(&pool, 4);
   std::vector<core::Record> ops;
   for (Key k = 1; k <= 300; ++k) ops.push_back({k, k + 1});
-  idx->InsertBatch(ops.data(), ops.size());
+  idx->InsertBatch(ops.data(), ops.size(), nullptr);
 
   std::vector<Key> keys;
   for (Key k = 1; k <= 400; ++k) keys.push_back(k);  // 301..400 absent
@@ -186,7 +186,7 @@ TEST(HashedProbeTier, BatchPathFillsAndInvalidates) {
 
   // Batch upsert invalidates what the batch read path cached.
   for (auto& op : ops) op.ptr += 1000;
-  idx->InsertBatch(ops.data(), ops.size());
+  idx->InsertBatch(ops.data(), ops.size(), nullptr);
   idx->SearchBatch(keys.data(), keys.size(), out.data());
   for (Key k = 1; k <= 300; ++k) {
     ASSERT_EQ(out[k - 1], k + 1001) << "stale cache after batch upsert";

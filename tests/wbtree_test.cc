@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <new>
+#include <utility>
+#include <vector>
 
 #include "baselines/wbtree/wbtree.h"
 #include "common/rng.h"
@@ -131,6 +134,29 @@ TEST(WBTree, DenseAscendingAndDescending) {
     }
     for (Key k = 1; k <= 5000; ++k) ASSERT_EQ(t.Search(k), k * 2 + 1);
   }
+}
+
+TEST(WBTree, PoolExhaustionThrowsOnlyBadAllocAndKeepsAckedKeys) {
+  // A split that cannot allocate must unwind before its undo log is armed:
+  // every failure is a plain std::bad_alloc (an armed-and-abandoned log
+  // used to overflow into std::runtime_error a few failures later), and
+  // every insert that returned normally stays readable.
+  pm::Pool pool(std::size_t{1} << 20);
+  WBTree t(&pool);
+  std::vector<std::pair<Key, Value>> acked;
+  std::size_t bad_allocs = 0;
+  for (std::uint64_t i = 1; i <= 200000; ++i) {
+    const Key k = i * 0x9E3779B97F4A7C15ull;  // spread, distinct, nonzero
+    try {
+      t.Insert(k, i);
+      acked.emplace_back(k, i);
+    } catch (const std::bad_alloc&) {
+      ++bad_allocs;
+    }
+  }
+  EXPECT_GT(bad_allocs, 0u);
+  for (const auto& [k, v] : acked) ASSERT_EQ(t.Search(k), v);
+  EXPECT_EQ(t.CountEntries(), acked.size());
 }
 
 }  // namespace

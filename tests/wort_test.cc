@@ -73,7 +73,9 @@ TEST(Wort, RemoveUnlinksLeafOnly) {
   EXPECT_EQ(t.Search(25), kNoValue);
   EXPECT_FALSE(t.Remove(25));
   for (Key k = 1; k <= 50; ++k) {
-    if (k != 25) ASSERT_EQ(t.Search(k), k + 1);
+    if (k != 25) {
+      ASSERT_EQ(t.Search(k), k + 1);
+    }
   }
 }
 
