@@ -1019,17 +1019,16 @@ void BTreeT<P>::ScanBatch(const ScanOp* ops, std::size_t n,
         // Sibling load before the cap check, exactly like the scalar
         // loop's tail: per-op visited-node accounting stays identical to
         // ScanRange's, so scalar-vs-batched counter ratios compare pure
-        // stall amortization.
+        // stall amortization. Only a sibling the cursor goes on to read
+        // is prefetched.
         const NodeT* s = Resolve(Ops::LoadSibling(m, leaf));
-        if (s != nullptr) {
-          PrefetchNode(s);
-          ++arrived;
-        }
+        if (s != nullptr) ++arrived;
         if (s == nullptr || got[j] >= op.cap) {
           cur[j] = nullptr;
           --live;
           continue;
         }
+        PrefetchNode(s);
         cur[j] = s;
       }
       pm::AnnotateReadGroup(arrived);
