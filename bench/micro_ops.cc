@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -350,6 +351,37 @@ class CaptureReporter final : public benchmark::ConsoleReporter {
   std::vector<RunRecord> records;
 };
 
+/// Captures the wall time per iteration of every run and prints nothing:
+/// the SIMD gate's interleaved repetitions.
+class TimeCapture final : public benchmark::BenchmarkReporter {
+ public:
+  bool ReportContext(const Context&) override { return true; }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& r : runs) {
+      if (r.run_type == Run::RT_Iteration && !r.error_occurred) {
+        ns.push_back(r.GetAdjustedRealTime());
+      }
+    }
+  }
+
+  std::vector<double> ns;
+};
+
+struct Spread {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> v) {
+  Spread s;
+  if (v.empty()) return s;
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  s.median = n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+  s.min = v.front();
+  s.max = v.back();
+  return s;
+}
+
 double CounterOf(const RunRecord& r, const std::string& name) {
   for (const auto& [n, v] : r.counters) {
     if (n == name) return v;
@@ -382,12 +414,16 @@ bool WriteJson(const std::string& path,
 
 int main(int argc, char** argv) {
   std::string json_path;
+  // google-benchmark reopens (truncates) a --benchmark_out file on every
+  // RunSpecifiedBenchmarks call, so the SIMD gate's reruns skip when set.
+  bool file_out = false;
   // Strip --json=<path> before google-benchmark sees (and rejects) it.
   int out_argc = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {
+      if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) file_out = true;
       argv[out_argc++] = argv[i];
     }
   }
@@ -407,6 +443,50 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(out_argc, argv)) return 1;
   CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
+
+  // SIMD intra-node search gate (wide-vector machines only: on NEON or
+  // pre-AVX2 hardware the kernels win less and the gate would be noise):
+  // the vectorized leaf search must run at <= 0.6x the scalar linear scan.
+  // One wall-time sample of each sits inside a shared host's run-to-run
+  // spread, so the gate compares medians of interleaved reruns — a noisy
+  // stretch hits both rows alike — and prints their spread.
+  bool simd_gate_failed = false;
+  const auto ran = [&](const char* name) {
+    return std::any_of(reporter.records.begin(), reporter.records.end(),
+                       [&](const RunRecord& r) { return r.name == name; });
+  };
+  if ((simd::IsaSupported(simd::Isa::kAvx2) ||
+       simd::IsaSupported(simd::Isa::kAvx512)) &&
+      ran("BM_NodeLinearSearch") && ran("BM_NodeSimdSearch")) {
+    if (file_out) {
+      std::fprintf(stderr,
+                   "micro_ops: SIMD gate skipped (--benchmark_out set)\n");
+    } else {
+      constexpr int kGateReps = 5;
+      TimeCapture lin_runs, vec_runs;
+      for (int rep = 0; rep < kGateReps; ++rep) {
+        benchmark::RunSpecifiedBenchmarks(&lin_runs, "^BM_NodeLinearSearch$");
+        benchmark::RunSpecifiedBenchmarks(&vec_runs, "^BM_NodeSimdSearch$");
+      }
+      const Spread lin = SpreadOf(lin_runs.ns);
+      const Spread vec = SpreadOf(vec_runs.ns);
+      std::fprintf(stderr,
+                   "micro_ops SIMD gate: %d interleaved reps, "
+                   "BM_NodeSimdSearch median %.1f ns [%.1f, %.1f], "
+                   "BM_NodeLinearSearch median %.1f ns [%.1f, %.1f], "
+                   "ratio %.2f (bound 0.6)\n",
+                   kGateReps, vec.median, vec.min, vec.max, lin.median,
+                   lin.min, lin.max,
+                   lin.median > 0 ? vec.median / lin.median : 0.0);
+      if (vec.median > 0.6 * lin.median) {
+        std::fprintf(stderr,
+                     "GATE FAIL micro_ops: SIMD node search median %.1f "
+                     "ns/op not <= 0.6x scalar linear median %.1f ns/op\n",
+                     vec.median, lin.median);
+        simd_gate_failed = true;
+      }
+    }
+  }
   benchmark::Shutdown();
 
   if (!json_path.empty() && !WriteJson(json_path, reporter.records)) return 1;
@@ -454,25 +534,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  // SIMD intra-node search gate (wide-vector machines only: on NEON or
-  // pre-AVX2 hardware the kernels win less and the gate would be noise):
-  // the vectorized leaf search must run at <= 0.6x the scalar linear scan.
-  if (simd::IsaSupported(simd::Isa::kAvx2) ||
-      simd::IsaSupported(simd::Isa::kAvx512)) {
-    const RunRecord* lin = nullptr;
-    const RunRecord* vec = nullptr;
-    for (const auto& r : reporter.records) {
-      if (r.name == "BM_NodeLinearSearch") lin = &r;
-      if (r.name == "BM_NodeSimdSearch") vec = &r;
-    }
-    if (lin != nullptr && vec != nullptr &&
-        vec->real_ns_per_iter > 0.6 * lin->real_ns_per_iter) {
-      std::fprintf(stderr,
-                   "GATE FAIL micro_ops: SIMD node search %.1f ns/op not "
-                   "<= 0.6x scalar linear %.1f ns/op\n",
-                   vec->real_ns_per_iter, lin->real_ns_per_iter);
-      return 1;
-    }
-  }
-  return 0;
+  return simd_gate_failed ? 1 : 0;
 }

@@ -232,11 +232,10 @@ ModeResult RunMode(bool scalar, const bench::Options& opt,
   server::ServiceOptions sopts;
   sopts.workers = opt.service_workers;
   sopts.queue_depth = 128;
-  sopts.max_batch = 256;
+  sopts.max_batch = scalar ? 1 : 256;  // 1 = each request its own group
   sopts.batch_timeout_us = opt.batch_timeout_us;
   sopts.quota_ops_per_sec = opt.quota;
   sopts.max_sessions = num_sessions;
-  sopts.scalar_dispatch = scalar;
 
   // Saturation phase.
   {

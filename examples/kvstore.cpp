@@ -81,8 +81,7 @@ struct Store {
       : pool([] {
           pm::Pool::Options o;
           o.capacity = kPoolSize;
-          o.file_path = kPoolPath;
-          o.persist_metadata = true;  // allocator survives crashes too
+          o.file_path = kPoolPath;  // file-backed: the allocator persists
           return o;
         }()) {
     if (pool.reopened()) {

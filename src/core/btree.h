@@ -182,8 +182,7 @@ class BTreeT {
     int height = 0;
     std::size_t entries = 0;
     std::vector<std::size_t> nodes_per_level;  // [0] = leaves
-    std::size_t dead_leaves = 0;  // emptied + unlinked, awaiting GC
-    double leaf_fill = 0.0;       // live entries / leaf capacity
+    double leaf_fill = 0.0;  // live entries / leaf capacity
   };
   TreeStats GetTreeStats() const;
 

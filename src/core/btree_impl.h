@@ -1068,10 +1068,6 @@ typename BTreeT<P>::TreeStats BTreeT<P>::GetTreeStats() const {
         static_cast<double>(st.entries) /
         (static_cast<double>(st.nodes_per_level.front()) * kNodeCapacity);
   }
-  // Dead leaves are unlinked from the chain; count them via the parent
-  // level's separators that still reference dead nodes (pre-repair) is
-  // unreliable, so report the chain-vs-entry discrepancy instead: walk the
-  // leaf chain and count dead flags (linked-but-dead crash remnants).
   return st;
 }
 

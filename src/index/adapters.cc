@@ -91,7 +91,7 @@ class Wrap final : public Index {
   }
 
   void CollectMaintenanceTasks(
-      const maint::TaskOptions& opts,
+      const maint::TaskOptions& /*opts*/,
       std::vector<std::unique_ptr<maint::MaintenanceTask>>* out) override {
     // A reclaiming tree contributes the background drained-range sweep;
     // every other wrapped structure has nothing to maintain.
@@ -100,11 +100,10 @@ class Wrap final : public Index {
                     impl_.options();
                   }) {
       if (impl_.options().reclaim_empty_leaves) {
-        out->push_back(std::make_unique<maint::SweepTask<T>>(
-            "sweep:" + name_, &impl_, opts));
+        out->push_back(
+            std::make_unique<maint::SweepTask<T>>("sweep:" + name_, &impl_));
       }
     } else {
-      (void)opts;
       (void)out;
     }
   }

@@ -149,30 +149,6 @@ ShardedIndex::ShardedIndex(std::string name, std::vector<Key> boundaries,
   BuildShards(bounds_[0].size() + 1, make);
 }
 
-void ShardedIndex::NoteOps(std::size_t shard, std::uint64_t k) const {
-  if (k == 0) return;
-  const std::uint64_t ops =
-      counters_[shard].ops.fetch_add(k, std::memory_order_relaxed) + k;
-  const std::size_t every = sample_interval_.load(std::memory_order_relaxed);
-  // Sample when the add crossed an interval boundary (k == 1 reduces to
-  // the old `ops % every == 0`; a batch add crossing several boundaries
-  // still samples once — the snapshot is a rate limiter, not a count).
-  if (every != 0 && ops / every != (ops - k) / every) SampleHistogram();
-}
-
-void ShardedIndex::SampleHistogram() const {
-  // try_lock: a sample racing another sample is redundant, not worth
-  // blocking an operation for.
-  std::unique_lock lk(histogram_mu_, std::try_to_lock);
-  if (!lk.owns_lock()) return;
-  last_histogram_ = ApproxShardEntries();
-}
-
-std::vector<std::size_t> ShardedIndex::LastHistogram() const {
-  std::lock_guard lk(histogram_mu_);
-  return last_histogram_;
-}
-
 std::vector<std::size_t> ShardedIndex::ApproxShardEntries() const {
   std::vector<std::size_t> out(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -267,7 +243,6 @@ void ShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
           });
       if (out != nullptr) out[i] = st;
       counters_[s].entries.fetch_add(1, std::memory_order_relaxed);
-      NoteOps(s, 1);
     }
     return;
   }
@@ -279,7 +254,6 @@ void ShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
         shards_[s]->InsertBatch(gops, len, st);
         counters_[s].entries.fetch_add(static_cast<std::int64_t>(len),
                                        std::memory_order_relaxed);
-        NoteOps(s, len);
       });
 }
 
@@ -295,7 +269,6 @@ void ShardedIndex::RemoveBatch(const Key* keys, std::size_t n, bool* out) {
         return true;
       });
       if (out[i]) counters_[s].entries.fetch_sub(1, std::memory_order_relaxed);
-      NoteOps(s, 1);
     }
     return;
   }
@@ -305,7 +278,6 @@ void ShardedIndex::RemoveBatch(const Key* keys, std::size_t n, bool* out) {
         shards_[s]->RemoveBatch(gk, len, removed);
         const auto hits = std::count(removed, removed + len, true);
         counters_[s].entries.fetch_sub(hits, std::memory_order_relaxed);
-        NoteOps(s, len);
       });
 }
 
@@ -408,7 +380,6 @@ ShardedIndex::RebalanceResult ShardedIndex::Rebalance() {
       counters_[s].entries.store(static_cast<std::int64_t>(counts[s]),
                                  std::memory_order_relaxed);
     }
-    SampleHistogram();
     return r;
   }
 
@@ -579,7 +550,6 @@ ShardedIndex::RebalanceResult ShardedIndex::Rebalance() {
                                std::memory_order_relaxed);
   }
   r.imbalance_after = ImbalanceRatio(after);
-  SampleHistogram();
   return r;
 }
 

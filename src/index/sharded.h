@@ -19,10 +19,10 @@
 //
 // Uniform-range partitioning is the paper-faithful choice for the uniform
 // benchmark workloads.  Skewed workloads pile onto a few ranges; for those
-// the adapter keeps a per-shard entry-count histogram (relaxed counters,
-// snapshot sampled every SetSampleInterval ops) and offers an explicit
-// Rebalance() that recomputes the boundaries from the observed key
-// quantiles and migrates entries shard-to-shard (protocol in DESIGN.md
+// the adapter keeps live per-shard entry counters (relaxed, one add per
+// shard group of a mutation batch) and offers an explicit Rebalance()
+// that recomputes the boundaries from the observed key quantiles and
+// migrates entries shard-to-shard (protocol in DESIGN.md
 // §4.3: copy to the new shard, publish the boundaries, then delete the
 // stale copies — concurrent readers always find a key under whichever
 // boundary set they observe, and concurrent writers dual-route through
@@ -156,8 +156,8 @@ class ShardedIndex final : public Index {
 
   /// The batch forms (DESIGN.md §8.3) route the whole batch in one pass
   /// under a single epoch pin, then each shard receives its sub-batch in
-  /// original order — one virtual call, one counter update, one histogram
-  /// check per shard group instead of one per key — and results (values,
+  /// original order — one virtual call and one counter update per shard
+  /// group instead of one per key — and results (values,
   /// insert statuses, removed flags) scatter back to the caller's
   /// positions. Through a Rebalance migration window, writes instead
   /// dual-route key by key (DualRoute).
@@ -213,29 +213,11 @@ class ShardedIndex final : public Index {
 
   // --- skew instrumentation + rebalance (DESIGN.md §4.3) -------------------
 
-  /// Every `ops` routed *mutations* (inserts + removes — lookups never
-  /// touch shared counters, so the lock-free search path stays
-  /// instrumentation-free), the live per-shard entry estimates are
-  /// snapshotted into the histogram returned by LastHistogram(). 0
-  /// disables sampling (the relaxed counters still run). Default: 4096.
-  void SetSampleInterval(std::size_t ops) {
-    sample_interval_.store(ops, std::memory_order_relaxed);
-  }
-
-  /// Current sampling interval (0 = disabled). The imbalance policy task
-  /// (maint/tasks.h) reads this to re-enable a sane default when a caller
-  /// disabled sampling and then attached a policy that needs the signal.
-  std::size_t sample_interval() const {
-    return sample_interval_.load(std::memory_order_relaxed);
-  }
-
-  /// The most recent sampled entry-count histogram (empty until the first
-  /// sample interval elapses).
-  std::vector<std::size_t> LastHistogram() const;
-
   /// Live approximate entries per shard from the relaxed counters:
   /// +1 per Insert (upserts overcount re-inserted keys), -1 per successful
-  /// Remove; resynced to exact counts by Rebalance().
+  /// Remove; resynced to exact counts by Rebalance(). Only mutations touch
+  /// the counters, so the lock-free search path stays instrumentation-free.
+  /// This is the imbalance policy's signal (maint/tasks.h).
   std::vector<std::size_t> ApproxShardEntries() const;
 
   /// Exact per-shard entry counts via each shard's CountEntries
@@ -283,7 +265,7 @@ class ShardedIndex final : public Index {
   /// an internal mutex.
   RebalanceResult Rebalance();
 
-  /// Contributes an ImbalancePolicyTask that closes the histogram →
+  /// Contributes an ImbalancePolicyTask that closes the counters →
   /// Rebalance loop in the background, then recurses into the shards (a
   /// reclaiming inner kind adds its per-shard sweep tasks).
   void CollectMaintenanceTasks(
@@ -293,10 +275,8 @@ class ShardedIndex final : public Index {
  private:
   // Padded so two shards' counters never share a cache line: the counters
   // measure skew, they must not add cross-shard contention of their own.
-  // Only mutations touch them — `ops` counts routed inserts + removes.
   struct alignas(kCacheLineSize) ShardCounters {
     std::atomic<std::int64_t> entries{0};
-    std::atomic<std::uint64_t> ops{0};
   };
 
   /// Routes `key` under an explicit boundary buffer (empty => uniform
@@ -330,10 +310,6 @@ class ShardedIndex final : public Index {
   std::size_t DualRoute(Key key, ApplyFn&& apply);
 
   void BuildShards(std::size_t num_shards, const ShardFactory& make);
-  /// One counter add for `k` routed mutations on `shard`; samples the
-  /// histogram when the add crosses a sampling-interval boundary.
-  void NoteOps(std::size_t shard, std::uint64_t k) const;
-  void SampleHistogram() const;
 
   std::vector<std::unique_ptr<Index>> shards_;
   std::unique_ptr<ShardCounters[]> counters_;  // one per shard
@@ -350,9 +326,6 @@ class ShardedIndex final : public Index {
   static constexpr unsigned kMigStripeBits = 10;  // 1024 stripes
   std::atomic<bool> migrating_{false};
   std::unique_ptr<std::atomic<std::uint64_t>[]> mig_seq_;
-  std::atomic<std::size_t> sample_interval_{4096};
-  mutable std::mutex histogram_mu_;  // guards last_histogram_
-  mutable std::vector<std::size_t> last_histogram_;
   std::mutex rebalance_mu_;
   std::string name_;
   bool concurrent_ = true;

@@ -2,8 +2,8 @@
 // pluggable, budgeted maintenance tasks off the operation path.
 //
 // The paper keeps every repair on the foreground path: limbo draining and
-// dead-range sweeping happen only when a writer passes by, and the sampled
-// skew histograms (DESIGN.md §4.3) are observed but never acted on.  This
+// dead-range sweeping happen only when a writer passes by, and the per-shard
+// skew counters (DESIGN.md §4.3) are observed but never acted on.  This
 // tier moves that work to a dedicated thread so foreground operations never
 // pay for cleanup or rebalancing they did not cause:
 //
@@ -72,20 +72,13 @@ struct TaskStats {
   std::uint64_t bytes = 0;          // cumulative QuantumResult::bytes
 };
 
-/// Knobs shared by the built-in tasks; carried by
-/// Index::CollectMaintenanceTasks so every layer reads one struct.
+/// Knobs of the built-in tasks; carried by Index::CollectMaintenanceTasks
+/// so every layer reads one struct. The per-quantum budgets and the
+/// policy's size gate are constants of the tasks (maint/tasks.{h,cc}).
 struct TaskOptions {
-  // ImbalancePolicyTask: trigger Rebalance() when the sampled per-shard
-  // imbalance ratio exceeds this (must be > 1.0).
+  // ImbalancePolicyTask: trigger Rebalance() when the per-shard imbalance
+  // ratio exceeds this (must be > 1.0).
   double rebalance_threshold = 1.2;
-  // ImbalancePolicyTask: skip indexes smaller than this many entries per
-  // shard on average — quantile boundaries over a handful of keys are
-  // noise, not signal.
-  std::size_t rebalance_min_entries_per_shard = 64;
-  // SweepTask: leaves visited per quantum.
-  int sweep_leaves_per_quantum = 32;
-  // PoolDrainTask: limbo blocks recycled per quantum.
-  std::size_t drain_blocks_per_quantum = 256;
 };
 
 /// One unit of background work. Implementations live in maint/tasks.h; any

@@ -8,9 +8,12 @@
 namespace fastfair::maint {
 
 namespace {
-// Re-enabled by ImbalancePolicyTask when sampling was turned off: matches
-// ShardedIndex's construction-time default (index/sharded.h).
-constexpr std::size_t kDefaultSampleInterval = 4096;
+// PoolDrainTask: limbo blocks recycled per quantum.
+constexpr std::size_t kDrainBlocksPerQuantum = 256;
+// ImbalancePolicyTask: skip indexes smaller than this many entries per
+// shard on average — quantile boundaries over a handful of keys are
+// noise, not signal.
+constexpr std::size_t kRebalanceMinEntriesPerShard = 64;
 }  // namespace
 
 std::unique_ptr<MaintenanceThread> MakeMaintenanceThread(
@@ -19,7 +22,7 @@ std::unique_ptr<MaintenanceThread> MakeMaintenanceThread(
   MaintenanceThread::Options mo;
   mo.interval = interval;
   auto mt = std::make_unique<MaintenanceThread>(mo);
-  mt->AddTask(std::make_unique<PoolDrainTask>(pool, opts));
+  mt->AddTask(std::make_unique<PoolDrainTask>(pool));
   std::vector<std::unique_ptr<MaintenanceTask>> tasks;
   for (Index* idx : indexes) {
     if (idx != nullptr) idx->CollectMaintenanceTasks(opts, &tasks);
@@ -28,16 +31,13 @@ std::unique_ptr<MaintenanceThread> MakeMaintenanceThread(
   return mt;
 }
 
-PoolDrainTask::PoolDrainTask(pm::Pool* pool, const TaskOptions& opts)
-    : pool_(pool), budget_(opts.drain_blocks_per_quantum) {}
-
 QuantumResult PoolDrainTask::RunQuantum() {
   // Advance the epoch first: entries stamped at the previous epoch become
   // recyclable as soon as every reader pinned at it unpins, without any
   // foreground free having to notice.
   pm::epoch::TryAdvance();
   QuantumResult q;
-  q.bytes = pool_->DrainLimboQuantum(budget_);
+  q.bytes = pool_->DrainLimboQuantum(kDrainBlocksPerQuantum);
   q.items = q.bytes != 0 ? 1 : 0;
   // limbo_empty is the lock-free mirror: entries still epoch-pinned keep
   // it false, which is right — they are pending work for a later quantum.
@@ -49,15 +49,8 @@ ImbalancePolicyTask::ImbalancePolicyTask(ShardedIndex* idx,
                                          const TaskOptions& opts)
     : idx_(idx),
       threshold_(std::max(opts.rebalance_threshold, 1.01)),
-      min_entries_(opts.rebalance_min_entries_per_shard * idx->num_shards()),
-      name_("rebalance:" + std::string(idx->name())) {
-  // The policy is only as good as its signal: benches and applications
-  // never remember to call SetSampleInterval, so guarantee the histogram
-  // flows the moment a policy is attached.
-  if (idx_->sample_interval() == 0) {
-    idx_->SetSampleInterval(kDefaultSampleInterval);
-  }
-}
+      min_entries_(kRebalanceMinEntriesPerShard * idx->num_shards()),
+      name_("rebalance:" + std::string(idx->name())) {}
 
 QuantumResult ImbalancePolicyTask::RunQuantum() {
   QuantumResult q;
@@ -69,19 +62,11 @@ QuantumResult ImbalancePolicyTask::RunQuantum() {
     --backoff_quanta_;
     return q;
   }
-  // The sampled histogram is the designed signal, but it refreshes only
-  // every sample_interval mutations per shard — right after a write burst
-  // it can lag. The relaxed live counters are always current and cost N
-  // relaxed loads, so act on the worse of the two views.
-  const auto hist = idx_->LastHistogram();
+  // The relaxed live counters are always current and cost N relaxed loads.
   const auto approx = idx_->ApproxShardEntries();
-  double ratio = ImbalanceRatio(approx);
   std::size_t total = 0;
   for (const std::size_t c : approx) total += c;
-  if (!hist.empty()) {
-    ratio = std::max(ratio, ImbalanceRatio(hist));
-  }
-  if (total < min_entries_ || ratio <= threshold_) {
+  if (total < min_entries_ || ImbalanceRatio(approx) <= threshold_) {
     q.at_rest = true;
     return q;
   }

@@ -4,9 +4,9 @@
 //    pool-level overflow limbo onto the shared free lists
 //    (Pool::DrainLimboQuantum) — deferred frees retire even when no writer
 //    ever frees again. Safe under any foreground load.
-//  * `ImbalancePolicyTask` (index): watches ShardedIndex's sampled
-//    per-shard histograms and triggers Rebalance() when the imbalance
-//    ratio crosses TaskOptions::rebalance_threshold — the policy loop the
+//  * `ImbalancePolicyTask` (index): watches ShardedIndex's live per-shard
+//    entry counters and triggers Rebalance() when the imbalance ratio
+//    crosses TaskOptions::rebalance_threshold — the policy loop the
 //    ROADMAP's "online rebalance policy" item asked for. Safe under live
 //    writers: Rebalance dual-routes racing upserts through its migration
 //    window (index/sharded.h).
@@ -46,31 +46,25 @@ std::unique_ptr<MaintenanceThread> MakeMaintenanceThread(
 
 class PoolDrainTask final : public MaintenanceTask {
  public:
-  explicit PoolDrainTask(pm::Pool* pool, const TaskOptions& opts = {});
+  explicit PoolDrainTask(pm::Pool* pool) : pool_(pool) {}
 
   std::string_view name() const override { return "pool-drain"; }
   QuantumResult RunQuantum() override;
 
  private:
   pm::Pool* pool_;
-  std::size_t budget_;
 };
 
 class ImbalancePolicyTask final : public MaintenanceTask {
  public:
-  /// Attaching the policy guarantees the signal it feeds on: when the
-  /// index's histogram sampling is disabled (SetSampleInterval(0)), a sane
-  /// default interval is re-enabled here, so callers never have to
-  /// remember to turn sampling on for the policy to work.
   explicit ImbalancePolicyTask(ShardedIndex* idx, const TaskOptions& opts = {});
 
   std::string_view name() const override { return name_; }
 
-  /// Reads the fresher of the sampled histogram and the live approximate
-  /// counters; above the threshold (and above the minimum-size gate) it
-  /// runs one Rebalance() — reported as one item. Rebalance resyncs the
-  /// counters and resamples the histogram, so the next quantum observes
-  /// the post-migration balance and comes to rest.
+  /// Reads the live approximate per-shard counters; above the threshold
+  /// (and above the minimum-size gate) it runs one Rebalance() — reported
+  /// as one item. Rebalance resyncs the counters, so the next quantum
+  /// observes the post-migration balance and comes to rest.
   QuantumResult RunQuantum() override;
 
  private:
@@ -92,10 +86,11 @@ class ImbalancePolicyTask final : public MaintenanceTask {
 template <class Tree>
 class SweepTask final : public MaintenanceTask {
  public:
-  SweepTask(std::string name, Tree* tree, const TaskOptions& opts = {})
-      : tree_(tree),
-        budget_(opts.sweep_leaves_per_quantum),
-        name_(std::move(name)) {}
+  /// Leaves visited per quantum.
+  static constexpr int kLeavesPerQuantum = 32;
+
+  SweepTask(std::string name, Tree* tree)
+      : tree_(tree), name_(std::move(name)) {}
 
   std::string_view name() const override { return name_; }
 
@@ -109,7 +104,7 @@ class SweepTask final : public MaintenanceTask {
   }
 
   QuantumResult RunQuantum() override {
-    const auto r = tree_->SweepDrainedRanges(cursor_, budget_);
+    const auto r = tree_->SweepDrainedRanges(cursor_, kLeavesPerQuantum);
     unlinked_this_wrap_ += r.unlinked;
     if (r.wrapped) {
       last_wrap_clean_ = unlinked_this_wrap_ == 0;
@@ -137,7 +132,6 @@ class SweepTask final : public MaintenanceTask {
   Key cursor_ = 0;
   std::size_t unlinked_this_wrap_ = 0;
   bool last_wrap_clean_ = false;
-  int budget_;
   std::string name_;
 };
 

@@ -195,14 +195,6 @@ Config GetConfig() {
   return cfg;
 }
 
-void SetWriteLatencyNs(std::uint64_t ns) {
-  g_write_latency_ns.store(ns, std::memory_order_relaxed);
-}
-
-void SetReadLatencyNs(std::uint64_t ns) {
-  g_read_latency_ns.store(ns, std::memory_order_relaxed);
-}
-
 void SetMemModel(MemModel model, std::uint64_t barrier_ns) {
   g_model.store(model, std::memory_order_relaxed);
   g_barrier_ns.store(barrier_ns, std::memory_order_relaxed);

@@ -64,9 +64,7 @@ struct Config {
 void SetConfig(const Config& cfg);
 Config GetConfig();
 
-/// Convenience setters used by benchmark sweeps.
-void SetWriteLatencyNs(std::uint64_t ns);
-void SetReadLatencyNs(std::uint64_t ns);
+/// Convenience setter for the memory-model knobs alone.
 void SetMemModel(MemModel model, std::uint64_t barrier_ns = 0);
 
 /// Per-thread persistence statistics.

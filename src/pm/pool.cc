@@ -21,6 +21,7 @@ namespace fastfair::pm {
 namespace {
 constexpr std::uint64_t kMagic = 0xfa57fa1243ull;  // "fastfair" pool, v2 layout
 constexpr std::size_t kNoSpace = static_cast<std::size_t>(-1);
+constexpr std::size_t kArenaChunk = std::size_t{1} << 20;  // 1 MiB
 constexpr std::size_t kMinChunk = 4096;  // below this, arenas are off
 
 // Free-list size classes: class c holds blocks of size [2^c, 2^(c+1)).
@@ -94,7 +95,7 @@ struct Pool::Header {
   std::atomic<std::uint64_t> recycled;  // bytes served from free lists
   // Per-size-class free lists threaded through the blocks themselves:
   // {tag:16 | offset:48} head; each block's first 8 bytes hold the next
-  // offset. Persistent when Options::persist_free_lists is set.
+  // offset. Persistent in file-backed pools.
   std::atomic<std::uint64_t> free_heads[kNumClasses];
 
   static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
@@ -139,9 +140,7 @@ thread_local Pool::ReclaimSlot Pool::t_reclaim[Pool::kReclaimSlots];
 
 Pool::Pool(const Options& opts)
     : capacity_(opts.capacity),
-      id_(g_next_pool_id.fetch_add(1, std::memory_order_relaxed)),
-      persist_meta_(opts.persist_metadata),
-      persist_free_(opts.persist_free_lists) {
+      id_(g_next_pool_id.fetch_add(1, std::memory_order_relaxed)) {
   if (capacity_ < AlignUp(sizeof(Header), kCacheLineSize) + kCacheLineSize) {
     // The header (bump offset, root, free-list heads) plus room for at
     // least one cache line of payload.
@@ -149,7 +148,7 @@ Pool::Pool(const Options& opts)
   }
   // Arenas make sense only when the pool comfortably fits several chunks;
   // otherwise fall back to the exact direct path (tiny test pools).
-  chunk_size_ = opts.arena_chunk;
+  chunk_size_ = kArenaChunk;
   if (chunk_size_ > capacity_ / 8) chunk_size_ = capacity_ / 8;
   chunk_size_ &= ~(kCacheLineSize - 1);
   if (chunk_size_ < kMinChunk) chunk_size_ = 0;
@@ -188,6 +187,16 @@ Pool::Pool(const Options& opts)
           static_cast<ssize_t>(sizeof(probe))) {
         ::close(fd_);
         ThrowIo("pread(header)", opts.file_path);
+      }
+      // A zero magic is a crash before the first header persist: format
+      // it. Any other foreign magic is someone else's file — refuse before
+      // the ftruncate and header writes below destroy its contents.
+      if (probe[0] != 0 && probe[0] != kMagic) {
+        ::close(fd_);
+        throw PoolError(PoolError::Kind::kCorrupt,
+                        "file '" + opts.file_path +
+                            "' exists but is not a fastfair pool (bad header "
+                            "magic); delete it or choose another path");
       }
       if (probe[0] == kMagic) {
         if (probe[1] != capacity_) {
@@ -228,20 +237,11 @@ Pool::Pool(const Options& opts)
       // Capacity and on-disk size were validated against the header probe
       // above, before the ftruncate could mask anything.
       reopened_ = true;
-      // Recovered: keep used/root as persisted. Free-list state is only
-      // trustworthy when the previous run flushed pushes/pops in order
-      // (persist_free_lists): without that, a head may have hit the medium
-      // via incidental writeback while its block was already recycled into
-      // live, reachable data — recycling from it would corrupt the tree.
-      if (persist_free_) {
-        // A crash may still have torn a push: walk each list and truncate
-        // at the first entry that cannot be a block.
-        SanitizeFreeLists();
-      } else {
-        for (auto& fh : header()->free_heads) {
-          fh.store(0, std::memory_order_relaxed);
-        }
-      }
+      // Recovered: keep used/root as persisted. The free lists were
+      // flushed in push/pop order, but a crash may still have torn a push:
+      // walk each list and truncate at the first entry that cannot be a
+      // block.
+      SanitizeFreeLists();
       return;
     }
   }
@@ -279,11 +279,6 @@ Pool::~Pool() {
 
 Pool::Header* Pool::header() const { return static_cast<Header*>(base_); }
 
-Pool& Pool::Global() {
-  static Pool pool(Options{});
-  return pool;
-}
-
 std::size_t Pool::ReserveGlobal(std::size_t size, std::size_t align,
                                 bool nothrow) {
   auto* h = header();
@@ -298,7 +293,7 @@ std::size_t Pool::ReserveGlobal(std::size_t size, std::size_t align,
     }
   } while (!h->used.compare_exchange_weak(cur, next,
                                           std::memory_order_relaxed));
-  if (persist_meta_) {
+  if (file_backed_) {
     // Persist the bump offset at reservation granularity: after a crash the
     // allocator resumes past every byte any thread may have handed out.
     Clflush(&h->used);
@@ -399,7 +394,7 @@ void Pool::PushGlobal(int cls, std::uint64_t off, std::uint32_t size) {
   for (;;) {
     std::atomic_ref<std::uint64_t>(words[0]).store(h & kOffsetMask,
                                                    std::memory_order_relaxed);
-    if (persist_free_) {
+    if (file_backed_) {
       // The next link (and size) must be durable before the head can
       // expose the block: recovery walks head -> next and must never read
       // a torn link as a list entry, nor an unwritten size word as a block
@@ -467,7 +462,7 @@ void Pool::CachePut(ReclaimSlot* slot, int cls, std::uint64_t off,
     }
     slot->cache_n[cls] = static_cast<std::uint8_t>(
         ReclaimSlot::kCacheCap - keep);
-    if (persist_free_) {
+    if (file_backed_) {
       Clflush(&header()->free_heads[cls]);
       Sfence();
     }
@@ -511,7 +506,7 @@ void Pool::TryDrainOverflow() {
   }
   overflow_limbo_.resize(kept);
   overflow_n_.store(kept, std::memory_order_relaxed);
-  if (persist_free_) {
+  if (file_backed_) {
     for (int c = 0; c < kNumClasses; ++c) {
       if (pushed[c]) Clflush(&header()->free_heads[c]);
     }
@@ -541,7 +536,7 @@ std::size_t Pool::DrainLimboQuantum(std::size_t max_blocks) {
   }
   overflow_limbo_.resize(kept);
   overflow_n_.store(kept, std::memory_order_relaxed);
-  if (persist_free_) {
+  if (file_backed_) {
     for (int c = 0; c < kNumClasses; ++c) {
       if (pushed[c]) Clflush(&header()->free_heads[c]);
     }
@@ -565,7 +560,7 @@ std::size_t Pool::FlushThreadLimbo() {
     }
     slot->cache_n[c] = 0;
   }
-  if (persist_free_) {
+  if (file_backed_) {
     for (int c = 0; c < kNumClasses; ++c) {
       if (pushed[c]) Clflush(&header()->free_heads[c]);
     }
@@ -640,7 +635,7 @@ void* Pool::TryRecycle(std::size_t size, std::size_t align) {
     }
     if (got != 0) {
       Stats().freelist_refills += 1;
-      if (persist_free_) {
+      if (file_backed_) {
         // The pops must be durable before any popped block is handed out:
         // otherwise a crash could leave the head pointing at a block whose
         // new (persisted) contents are already reachable elsewhere.

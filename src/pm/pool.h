@@ -13,12 +13,12 @@
 //
 // Allocation path (DESIGN.md §3): the pool header holds a single global bump
 // offset, but threads do not contend on it per allocation.  Each thread
-// reserves an *arena chunk* (Options::arena_chunk, default 1 MiB) from the
-// global offset with one CAS, then bump-allocates thread-locally with zero
-// shared-memory traffic until the chunk is exhausted.  Allocations larger
-// than half a chunk bypass the arena and hit the global offset directly;
-// pools too small for chunking (< 8 chunks) degrade to the direct path
-// entirely, so tiny test pools behave exactly like the original allocator.
+// reserves an *arena chunk* (1 MiB) from the global offset with one CAS,
+// then bump-allocates thread-locally with zero shared-memory traffic until
+// the chunk is exhausted.  Allocations larger than half a chunk bypass the
+// arena and hit the global offset directly; pools too small for chunking
+// (< 8 chunks) degrade to the direct path entirely, so tiny test pools
+// behave exactly like the original allocator.
 //
 // Reclamation path (DESIGN.md §3.1): Free() is a real two-level reclaimer.
 // Freed blocks are stamped with the global reclamation epoch (pm/reclaim.h)
@@ -33,15 +33,18 @@
 // remove the last persistent reference to a block (persisted) *before*
 // freeing it — concurrent lock-free readers are then covered by the epoch.
 //
-// Crash story: with Options::persist_metadata the global offset is flushed at
-// *chunk-reservation* granularity — after a crash the allocator resumes past
-// every byte any thread may have handed out.  With Options::persist_free_lists
-// the free-list heads and in-block next links are flushed in push/pop order
-// (next durable before the head that exposes it; a pop durable before the
-// block is handed out), so a reopened pool resumes recycling from the
-// persisted lists; recovery sanitizes each list and truncates at the first
-// torn entry.  Blocks in transit (limbo, thread caches) at the crash are
-// leaked — the same bounded leak class as a partially-used arena chunk.
+// Crash story: persistence follows file backing.  An anonymous pool can
+// never be reopened, so it persists no allocator state — the paper's
+// volatile allocator, and what every benchmark measures.  A file-backed
+// pool flushes the global offset at *chunk-reservation* granularity, so
+// after a crash the allocator resumes past every byte any thread may have
+// handed out, and flushes the free-list heads and in-block next links in
+// push/pop order (next durable before the head that exposes it; a pop
+// durable before the block is handed out), so a reopened pool resumes
+// recycling from the persisted lists; recovery sanitizes each list and
+// truncates at the first torn entry.  Blocks in transit (limbo, thread
+// caches) at the crash are leaked — the same bounded leak class as a
+// partially-used arena chunk.
 
 #pragma once
 
@@ -84,25 +87,11 @@ class Pool {
  public:
   struct Options {
     std::size_t capacity = std::size_t{1} << 32;  // 4 GiB virtual reservation
-    std::string file_path;      // empty => anonymous (DRAM-as-PM)
+    // Empty => anonymous (DRAM-as-PM), volatile allocator. Non-empty =>
+    // file-backed, with the bump offset and free lists persisted (see the
+    // crash story above).
+    std::string file_path;
     std::uintptr_t fixed_base = 0x5100'0000'0000ull;  // file-backed mapping base
-    // Persist the bump offset on every chunk reservation. Off by default: the
-    // paper's evaluation (like its reference implementation) uses a
-    // volatile allocator, and charging every index a flush per allocation
-    // would skew the comparative flush counts the figures measure. Real
-    // deployments that need allocator recovery (examples/kvstore) turn it
-    // on; without it, a crash requires a GC pass to reclaim leaked blocks
-    // (reachability is still guaranteed by each structure's commit order).
-    bool persist_metadata = false;
-    // Persist the size-class free lists (heads + in-block next links) so a
-    // reopened pool resumes recycling. Off by default for the same
-    // flush-count-neutrality reason as persist_metadata.
-    bool persist_free_lists = false;
-    // Per-thread arena chunk size (0 disables arenas; all allocations then
-    // CAS the global offset directly, the pre-arena behaviour). The
-    // effective chunk is capped at capacity/8 and disabled below 4 KiB so
-    // small pools keep exact accounting.
-    std::size_t arena_chunk = std::size_t{1} << 20;  // 1 MiB
   };
 
   explicit Pool(const Options& opts);
@@ -112,9 +101,6 @@ class Pool {
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
-
-  /// Process-wide default pool (anonymous, lazily created).
-  static Pool& Global();
 
   /// Allocates `size` bytes aligned to `align` (power of two, >= 8).
   /// Thread-safe and, for small blocks, contention-free (per-thread arena or
@@ -286,10 +272,8 @@ class Pool {
   void* hook_ctx_ = nullptr;
   FreeHook free_hook_ = nullptr;
   void* free_hook_ctx_ = nullptr;
-  bool file_backed_ = false;
+  bool file_backed_ = false;  // also: persist the offset and free lists
   bool reopened_ = false;
-  bool persist_meta_ = false;
-  bool persist_free_ = false;
   int fd_ = -1;
 
   // Overflow limbo: deferred frees evicted from a full thread-local limbo

@@ -52,7 +52,7 @@ bool TokenBucket::TryAcquire() {
   const std::uint64_t now = pm::NowNs();
   if (now > last_ns_) {
     tokens_ = std::min(
-        burst_, tokens_ + static_cast<double>(now - last_ns_) * 1e-9 * rate_);
+        rate_, tokens_ + static_cast<double>(now - last_ns_) * 1e-9 * rate_);
     last_ns_ = now;
   }
   if (tokens_ < 1.0) return false;
@@ -167,18 +167,14 @@ KvService::KvService(Index* index, const ServiceOptions& opts)
   if (opts_.queue_depth < 2) opts_.queue_depth = 2;
   if (opts_.max_sessions == 0) opts_.max_sessions = 1;
   num_workers_ = index_->supports_concurrency() ? opts_.workers : 1;
-  // Probe-tier wiring (DESIGN.md §9.4): when serving a hashed-* index,
-  // resolve the concrete adapter once so the config knob can size (or,
-  // with 0, disable) its fingerprint cache and Stats() can report the
-  // tier's hit counters. Setup-time only — before any worker runs.
+  // Probe tier (DESIGN.md §9.4): when serving a hashed-* index, resolve
+  // the concrete adapter once so Stats() can report its fingerprint
+  // cache's hit counters.
   probe_host_ = dynamic_cast<HashShardedIndex*>(index_);
-  if (probe_host_ != nullptr &&
-      opts_.probe_cache_entries != ServiceOptions::kProbeCacheKeep) {
-    probe_host_->SetProbeCacheCapacity(opts_.probe_cache_entries);
-  }
   workers_.reserve(num_workers_);
   for (std::size_t i = 0; i < num_workers_; ++i) {
     workers_.push_back(std::make_unique<Worker>());
+    workers_.back()->next_session = i;
   }
   // Reserved once; OpenSession never reallocates, so workers may walk
   // sessions_[0, num_sessions_) without the open_mu_ lock.
@@ -196,11 +192,8 @@ Session* KvService::OpenSession(std::uint64_t tenant) {
   if (opts_.quota_ops_per_sec > 0) {
     auto& slot = tenants_[tenant];
     if (slot == nullptr) {
-      const double rate = static_cast<double>(opts_.quota_ops_per_sec);
-      const double burst = opts_.quota_burst != 0
-                               ? static_cast<double>(opts_.quota_burst)
-                               : rate;
-      slot = std::make_unique<detail::TokenBucket>(rate, burst);
+      slot = std::make_unique<detail::TokenBucket>(
+          static_cast<double>(opts_.quota_ops_per_sec));
     }
     bucket = slot.get();
   }
@@ -272,7 +265,10 @@ void KvService::WorkerLoop(std::size_t w) {
       continue;
     }
     idle_spins = 0;
-    if (!opts_.scalar_dispatch && opts_.max_batch > 1) {
+    // max_batch == 1 is scalar dispatch: each request executes alone, as
+    // its own group of one — no descent interleaving, no shared grouped
+    // stalls, no flush to count.
+    if (opts_.max_batch > 1) {
       if (reqs.size() >= opts_.max_batch) {
         ++wk.full;
       } else if (!stop_seen) {
@@ -284,12 +280,7 @@ void KvService::WorkerLoop(std::size_t w) {
         }
       }
     }
-    // Baseline shape in scalar mode: each request executes alone, as its
-    // own group of one — no descent interleaving, no shared grouped stalls.
-    const std::size_t group = opts_.scalar_dispatch ? 1 : reqs.size();
-    for (std::size_t i = 0; i < reqs.size(); i += group) {
-      ExecuteGroup(wk, reqs.data() + i, std::min(group, reqs.size() - i));
-    }
+    ExecuteGroup(wk, reqs.data(), reqs.size());
   }
   wk.pm_delta = pm::Stats() - start;
 }
@@ -298,10 +289,23 @@ std::size_t KvService::DrainAssigned(std::size_t w,
                                      std::vector<detail::Request>* out,
                                      std::size_t budget) {
   const std::size_t n = num_sessions_.load(std::memory_order_acquire);
+  if (n <= w) return 0;
+  Worker& wk = *workers_[w];
+  // Worker w owns sessions w, w + W, w + 2W, ...; walk them once, starting
+  // at the cursor (always one of them, and below n: n never shrinks) and
+  // wrapping.
+  const std::size_t start = wk.next_session;
+  std::size_t i = start;
   std::size_t total = 0;
-  for (std::size_t i = w; i < n && total < budget; i += num_workers_) {
-    total += sessions_[i]->Drain(out, budget - total);
-  }
+  do {
+    const std::size_t got = sessions_[i]->Drain(out, budget - total);
+    i += num_workers_;
+    if (i >= n) i = w;
+    if (got != 0) {
+      total += got;
+      wk.next_session = i;
+    }
+  } while (i != start && total < budget);
   return total;
 }
 

@@ -65,7 +65,7 @@
 
 #include "common/defs.h"
 #include "core/node.h"  // core::Record
-#include "index/fp_cache.h"  // FpProbeCache::Stats (probe-tier wiring)
+#include "index/fp_cache.h"  // FpProbeCache::Stats (probe-tier counters)
 #include "index/index.h"
 #include "pm/persist.h"
 
@@ -153,14 +153,13 @@ struct Request {
   std::uint64_t deadline_ns;  // absolute pm::NowNs deadline; 0 = none
 };
 
-/// Per-tenant token bucket: `rate` tokens/sec refill up to `burst`. A
-/// mutex suffices — only the tenant's own sessions contend on it, and only
-/// when a quota is configured at all.
+/// Per-tenant token bucket: `rate` tokens/sec refill up to a burst of one
+/// second's worth (== `rate`). A mutex suffices — only the tenant's own
+/// sessions contend on it, and only when a quota is configured at all.
 class TokenBucket {
  public:
-  TokenBucket(double rate_per_sec, double burst)
-      : tokens_(burst), last_ns_(pm::NowNs()), rate_(rate_per_sec),
-        burst_(burst) {}
+  explicit TokenBucket(double rate_per_sec)
+      : tokens_(rate_per_sec), last_ns_(pm::NowNs()), rate_(rate_per_sec) {}
 
   bool TryAcquire();
 
@@ -169,7 +168,6 @@ class TokenBucket {
   double tokens_;
   std::uint64_t last_ns_;
   const double rate_;
-  const double burst_;
 };
 
 }  // namespace detail
@@ -227,17 +225,18 @@ struct ServiceOptions {
   /// Per-session ring capacity (rounded up to a power of two); a full
   /// ring rejects with kRejectedQueueFull.
   std::size_t queue_depth = 1024;
-  /// Flush a group at this many ops. 1 disables batch formation (each
-  /// request still flows through the batch entry points individually).
+  /// Flush a group at this many ops. 1 disables batch formation: each
+  /// request executes alone, as its own group of one, through the same
+  /// batch entry points — the scalar-dispatch baseline bench_service
+  /// gates against.
   std::size_t max_batch = 256;
   /// Longest a worker holds a partial group while requests keep
   /// trickling in; four consecutive empty poll passes flush it early
   /// regardless.
   std::uint64_t batch_timeout_us = 100;
-  /// Per-tenant token-bucket rate; 0 = unlimited.
+  /// Per-tenant token-bucket rate, which is also the bucket's burst
+  /// capacity (one second's worth); 0 = unlimited.
   std::uint64_t quota_ops_per_sec = 0;
-  /// Bucket burst capacity; 0 = one second's worth (== the rate).
-  std::uint64_t quota_burst = 0;
   /// Session table capacity (fixed at construction so workers can walk it
   /// lock-free while OpenSession runs).
   std::size_t max_sessions = 1024;
@@ -249,19 +248,6 @@ struct ServiceOptions {
   /// remaining window is published to shed clients as
   /// Completion::retry_after_us().
   std::uint64_t capacity_backoff_us = 1000;
-  /// Baseline mode for benchmarks/tests: workers execute each drained
-  /// request alone, as its own group of one, through the same path — the
-  /// pre-batching service shape bench_service gates against.
-  bool scalar_dispatch = false;
-  /// Fingerprint probe tier (DESIGN.md §9.4) for hashed-* indexes: the
-  /// service resizes the index's FpProbeCache to this many entries at
-  /// construction, so the read path it serves answers repeat point
-  /// lookups from DRAM before any shard descent. kProbeCacheKeep (the
-  /// default) leaves the index's own setting untouched; 0 disables the
-  /// tier (the SetProbeCacheCapacity(0) off-switch, honored per service
-  /// config). Ignored for kinds without a probe tier.
-  static constexpr std::size_t kProbeCacheKeep = static_cast<std::size_t>(-1);
-  std::size_t probe_cache_entries = kProbeCacheKeep;
 };
 
 struct ServiceStats {
@@ -335,6 +321,7 @@ class KvService {
     std::uint64_t executed = 0, gets = 0, puts = 0, dels = 0, scans = 0;
     std::uint64_t groups = 0, full = 0, timeout = 0, idle = 0;
     std::uint64_t deadline_hits = 0;  // ops expired before execution
+    std::size_t next_session = 0;  // DrainAssigned's round-robin cursor
     pm::ThreadStats pm_delta;  // set once at worker exit
     std::vector<detail::Request> reqs;
     std::vector<std::uint32_t> pos;  // one request type's group positions
@@ -352,12 +339,13 @@ class KvService {
 
   void WorkerLoop(std::size_t w);
   /// Drains every session assigned to worker `w` once, appending at most
-  /// `budget` requests; returns the number drained.
+  /// `budget` requests; returns the number drained. Each pass starts after
+  /// the session the previous pass last drained, so a small budget
+  /// (max_batch = 1) still serves the sessions round-robin.
   std::size_t DrainAssigned(std::size_t w, std::vector<detail::Request>* out,
                             std::size_t budget);
   FlushReason GatherGroup(std::size_t w, std::vector<detail::Request>* reqs);
-  /// Executes reqs[0..n) as one group, the service's one execution path
-  /// (scalar mode calls it once per request).
+  /// Executes reqs[0..n) as one group, the service's one execution path.
   void ExecuteGroup(Worker& wk, detail::Request* reqs, std::size_t n);
   void CompleteRemaining(ReqStatus status);
   /// Degraded-mode gate for the submit path: 0 when writes are admitted,
@@ -370,7 +358,7 @@ class KvService {
   void EnterDegraded();
 
   Index* index_;
-  HashShardedIndex* probe_host_ = nullptr;  // hashed-* only: probe tier
+  HashShardedIndex* probe_host_ = nullptr;  // hashed-* only: probe stats
   ServiceOptions opts_;
   std::size_t num_workers_;
   std::vector<std::unique_ptr<Worker>> workers_;

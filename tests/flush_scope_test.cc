@@ -138,7 +138,6 @@ TEST(FlushScope, CoalescedInsertsSurviveReopen) {
     pm::Pool::Options po;
     po.capacity = std::size_t{128} << 20;
     po.file_path = path;
-    po.persist_metadata = true;
     pm::Pool pool(po);
     auto tree = std::make_unique<core::BTree>(&pool);
     pool.SetRoot(tree->meta());
@@ -150,7 +149,6 @@ TEST(FlushScope, CoalescedInsertsSurviveReopen) {
     pm::Pool::Options po;
     po.capacity = std::size_t{128} << 20;
     po.file_path = path;
-    po.persist_metadata = true;
     pm::Pool pool(po);
     ASSERT_TRUE(pool.reopened());
     auto* meta = static_cast<core::TreeMeta*>(pool.GetRoot());

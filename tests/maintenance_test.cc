@@ -2,7 +2,7 @@
 // (MaintenanceThread quantum accounting, Start/Stop, WaitIdle, RunPass),
 // the pm drain task retiring epoch-parked limbo without a writer, the core
 // sweep task unlinking abandoned drained runs, and the imbalance policy
-// closing the histogram→Rebalance loop on its own thread.
+// closing the counters→Rebalance loop on its own thread.
 
 #include <gtest/gtest.h>
 
@@ -112,7 +112,7 @@ TEST(PoolDrain, BackgroundThreadRetiresParkedLimboWithoutAWriter) {
   MaintenanceThread::Options mo;
   mo.interval = std::chrono::microseconds(100);
   MaintenanceThread mt(mo);
-  mt.AddTask(std::make_unique<maint::PoolDrainTask>(&pool, TaskOptions{}));
+  mt.AddTask(std::make_unique<maint::PoolDrainTask>(&pool));
   mt.Start();
   const bool drained =
       testutil::PollUntil([&] { return pool.limbo_bytes() == 0; });
@@ -174,7 +174,7 @@ TEST(SweepTask, ReclaimsAbandonedDrainedRuns) {
   pm::ResetStats();
   const pm::ThreadStats start = pm::Stats();
   // Drive the sweep through the task (cursor persistence across quanta).
-  maint::SweepTask<core::BTree> task("sweep:test", &tree, TaskOptions{});
+  maint::SweepTask<core::BTree> task("sweep:test", &tree);
   std::size_t unlinked = 0;
   for (int q = 0; q < 100000; ++q) {
     const QuantumResult r = task.RunQuantum();
@@ -218,8 +218,8 @@ TEST(SweepTask, RunPassRecoversRunsAbandonedAfterARest) {
   for (std::uint64_t i = 1; i <= kN; ++i) tree.Insert(i << 8, i);
 
   MaintenanceThread mt;
-  mt.AddTask(std::make_unique<maint::SweepTask<core::BTree>>(
-      "sweep:test", &tree, TaskOptions{}));
+  mt.AddTask(
+      std::make_unique<maint::SweepTask<core::BTree>>("sweep:test", &tree));
   mt.RunPass();  // full clean wrap: the task now remembers itself at rest
 
   // Strand a run deep in the chain — far beyond one quantum's budget from
@@ -277,21 +277,16 @@ TEST(SweepTask, CollectedThroughIndexRegistry) {
   }
 }
 
-TEST(ImbalancePolicy, RebalancesInBackgroundAndEnablesSampling) {
+TEST(ImbalancePolicy, RebalancesInBackground) {
   pm::Pool pool(std::size_t{1} << 30);
   auto idx = std::make_unique<ShardedIndex>(
       "sharded", 4,
       [&pool](std::size_t) { return MakeIndex("fastfair", &pool); });
-  // The satellite fix: a caller that disabled sampling still gets the
-  // histogram signal the moment a policy attaches.
-  idx->SetSampleInterval(0);
   TaskOptions topts;
   topts.rebalance_threshold = 1.5;
   std::vector<std::unique_ptr<MaintenanceTask>> tasks;
   idx->CollectMaintenanceTasks(topts, &tasks);
   ASSERT_EQ(tasks.size(), 1u);
-  EXPECT_EQ(idx->sample_interval(), 4096u)
-      << "attaching a policy must re-enable a sane sampling default";
 
   // Clustered keys: everything lands in shard 0 under the uniform
   // partition.

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,11 +27,6 @@ TEST(PoolArena, EffectiveChunkSizeAdaptsToCapacity) {
   EXPECT_EQ(Pool(std::size_t{1} << 20).chunk_size(), std::size_t{1} << 17);
   // Tiny pool: arenas off, exact direct accounting.
   EXPECT_EQ(Pool(4096).chunk_size(), 0u);
-  // Explicit opt-out.
-  Pool::Options opts;
-  opts.capacity = std::size_t{1} << 30;
-  opts.arena_chunk = 0;
-  EXPECT_EQ(Pool(opts).chunk_size(), 0u);
 }
 
 TEST(PoolArena, SmallAllocationsShareOneChunkReservation) {
@@ -154,19 +151,31 @@ TEST(PoolArena, ResetInvalidatesEveryThreadArena) {
   EXPECT_TRUE(pool.Contains(p));
 }
 
-TEST(PoolArena, PersistMetadataFlushesAtChunkGranularity) {
+TEST(PoolArena, FileBackedPoolFlushesMetadataAtChunkGranularity) {
+  const std::string path = ::testing::TempDir() + "/arena_meta_pool_test.pm";
+  std::remove(path.c_str());
   Pool::Options opts;
   opts.capacity = std::size_t{64} << 20;
-  opts.persist_metadata = true;
-  Pool pool(opts);
+  opts.file_path = path;
+  opts.fixed_base = 0x5800'0000'0000ull;
+  {
+    Pool pool(opts);
+    ResetStats();
+    pool.Alloc(64);  // chunk reservation: one metadata flush
+    const auto after_first = Stats().flush_lines;
+    EXPECT_EQ(after_first, 1u);
+    for (int i = 0; i < 50; ++i) pool.Alloc(64);  // same chunk: no flushes
+    EXPECT_EQ(Stats().flush_lines, after_first);
+    pool.Alloc(pool.chunk_size());  // direct reservation: one more flush
+    EXPECT_EQ(Stats().flush_lines, after_first + 1);
+  }
+  std::remove(path.c_str());
+  // An anonymous pool of the same size persists nothing.
+  Pool anon(opts.capacity);
   ResetStats();
-  pool.Alloc(64);  // chunk reservation: one metadata flush
-  const auto after_first = Stats().flush_lines;
-  EXPECT_EQ(after_first, 1u);
-  for (int i = 0; i < 50; ++i) pool.Alloc(64);  // same chunk: no flushes
-  EXPECT_EQ(Stats().flush_lines, after_first);
-  pool.Alloc(pool.chunk_size());  // direct reservation: one more flush
-  EXPECT_EQ(Stats().flush_lines, after_first + 1);
+  anon.Alloc(64);
+  anon.Alloc(anon.chunk_size());
+  EXPECT_EQ(Stats().flush_lines, 0u);
 }
 
 TEST(PoolArena, ThreadStatsRecordPerThreadAllocVolume) {

@@ -181,15 +181,15 @@ TEST(PoolFreeList, ResetDropsParkedBlocks) {
   EXPECT_EQ(pool.recycled_bytes(), 0u);
 }
 
-TEST(PoolFreeList, PersistentListsSurviveReopen) {
+TEST(PoolFreeList, FileBackedListsSurviveReopenByDefault) {
+  // A file-backed pool persists its free lists with no option set: a
+  // block freed before the reopen is handed out again after it.
   const std::string path = ::testing::TempDir() + "/freelist_pool_test.pm";
   std::remove(path.c_str());
   Pool::Options opts;
   opts.capacity = std::size_t{16} << 20;
   opts.file_path = path;
   opts.fixed_base = 0x5200'0000'0000ull;
-  opts.persist_metadata = true;
-  opts.persist_free_lists = true;
   std::set<void*> freed;
   {
     Pool pool(opts);
@@ -231,7 +231,6 @@ TEST(PoolFreeList, ReopenSanitizesACorruptListHead) {
   opts.capacity = std::size_t{4} << 20;
   opts.file_path = path;
   opts.fixed_base = 0x5300'0000'0000ull;
-  opts.persist_free_lists = true;
   void* block = nullptr;
   {
     Pool pool(opts);
@@ -323,6 +322,70 @@ TEST(PoolReopen, CapacityMismatchIsIncompatibleNotCorrupt) {
               std::string::npos);
   }
   {  // the original parameters still work: the file was never touched
+    Pool pool(opts);
+    EXPECT_TRUE(pool.reopened());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PoolReopen, ForeignFileIsCorruptAndLeftUntouched) {
+  // A file that is not a pool (non-zero, foreign header magic) must be
+  // refused before the open extends or formats it.
+  const std::string path = ::testing::TempDir() + "/foreign_pool_test.pm";
+  std::remove(path.c_str());
+  std::string bytes(4096, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>('a' + i % 26);
+  }
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  Pool::Options opts;
+  opts.capacity = std::size_t{4} << 20;
+  opts.file_path = path;
+  opts.fixed_base = 0x5900'0000'0000ull;
+  try {
+    Pool pool(opts);
+    FAIL() << "opening a foreign file as a pool must throw";
+  } catch (const PoolError& e) {
+    EXPECT_EQ(e.kind(), PoolError::Kind::kCorrupt);
+  }
+  std::string after(bytes.size() + 1, '\0');
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  const std::size_t got = std::fread(after.data(), 1, after.size(), f);
+  std::fclose(f);
+  EXPECT_EQ(got, bytes.size()) << "file length changed";
+  after.resize(got);
+  EXPECT_EQ(after, bytes) << "file contents changed";
+  std::remove(path.c_str());
+}
+
+TEST(PoolReopen, ZeroMagicFileIsFormatted) {
+  // A zero header is a crash before the first header persist: the open
+  // formats it as a fresh pool.
+  const std::string path = ::testing::TempDir() + "/zeromagic_pool_test.pm";
+  std::remove(path.c_str());
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const std::string zeros(4096, '\0');
+    ASSERT_EQ(std::fwrite(zeros.data(), 1, zeros.size(), f), zeros.size());
+    std::fclose(f);
+  }
+  Pool::Options opts;
+  opts.capacity = std::size_t{4} << 20;
+  opts.file_path = path;
+  opts.fixed_base = 0x5a00'0000'0000ull;
+  {
+    Pool pool(opts);
+    EXPECT_FALSE(pool.reopened());
+    EXPECT_TRUE(pool.Contains(pool.Alloc(512)));
+  }
+  {
     Pool pool(opts);
     EXPECT_TRUE(pool.reopened());
   }

@@ -15,6 +15,7 @@
 
 #include "bench/workload.h"
 #include "common/rng.h"
+#include "index/hash_sharded.h"
 #include "index/index.h"
 #include "pm/fault.h"
 #include "pm/persist.h"
@@ -54,7 +55,7 @@ void RunScript(Index* idx, bool scalar) {
   so.queue_depth = 512;
   so.max_batch = 16;
   so.batch_timeout_us = 50;
-  so.scalar_dispatch = scalar;
+  if (scalar) so.max_batch = 1;  // scalar dispatch
   KvService svc(idx, so);
   Session* s = svc.OpenSession();
   ASSERT_NE(s, nullptr);
@@ -230,6 +231,43 @@ TEST(Service, CrossClientGroupFormationIsDeterministicWhenPrefilled) {
   EXPECT_EQ(idx->CountEntries(), 4 * kPer);
 }
 
+TEST(Service, ScalarDispatchServesSessionsRoundRobin) {
+  // One worker, groups of one, two sessions prefilled before Start: the
+  // worker must alternate between the sessions rather than drain the
+  // first dry. Session A puts key K, session B deletes it; alternation
+  // makes every Put an insert and every Del a hit, while draining A first
+  // would turn A's later Puts into updates and B's later Dels into misses.
+  pm::Pool pool(std::size_t{64} << 20);
+  auto idx = MakeIndex("fastfair", &pool);
+  ServiceOptions so;
+  so.workers = 1;
+  so.max_batch = 1;
+  KvService svc(idx.get(), so);
+  Session* a = svc.OpenSession();
+  Session* b = svc.OpenSession();
+  constexpr std::size_t kPer = 8;
+  constexpr Key kKey = 77;
+  std::vector<Completion> puts(kPer), dels(kPer);
+  for (std::size_t i = 0; i < kPer; ++i) {
+    ASSERT_TRUE(a->Put(kKey, V1(kKey), &puts[i]));
+    ASSERT_TRUE(b->Del(kKey, &dels[i]));
+  }
+  svc.Start();
+  WaitAll(puts, kPer);
+  WaitAll(dels, kPer);
+  svc.Stop();
+  for (std::size_t i = 0; i < kPer; ++i) {
+    EXPECT_EQ(puts[i].status(), ReqStatus::kInserted) << i;
+    EXPECT_EQ(dels[i].status(), ReqStatus::kOk) << i;
+  }
+  for (std::size_t i = 0; i + 1 < kPer; ++i) {
+    // A's i-th completion precedes B's, which precedes A's next.
+    EXPECT_LE(puts[i].complete_ns(), dels[i].complete_ns()) << i;
+    EXPECT_LE(dels[i].complete_ns(), puts[i + 1].complete_ns()) << i;
+  }
+  EXPECT_EQ(svc.Stats().groups, 2 * kPer);
+}
+
 TEST(Service, QueueFullBackpressureAndDrainOnStop) {
   pm::Pool pool(std::size_t{64} << 20);
   auto idx = MakeIndex("fastfair", &pool);
@@ -370,23 +408,26 @@ TEST(Service, SessionTableCapacityIsEnforced) {
   EXPECT_EQ(svc.OpenSession(), nullptr);
 }
 
-TEST(Service, ProbeCacheKnobRoutesToHashedKinds) {
-  // ServiceOptions::probe_cache_entries reaches the HashShardedIndex under
-  // the service: 0 disables the fingerprint probe tier (its stats ledger
-  // stays empty), the keep-default sentinel leaves the index's cache on so
-  // repeated gets produce hits, and Stats() surfaces the ledger either
-  // way. Runs both dispatch modes — scalar gets go through Search, grouped
-  // gets through SearchBatch, and both consult the cache.
+TEST(Service, ProbeCacheStatsSurfaceForHashedKinds) {
+  // Stats() surfaces the fingerprint probe tier of the HashShardedIndex
+  // under the service: with the index's cache on, repeated gets produce
+  // hits; with it off (SetProbeCacheCapacity(0)) the ledger stays empty.
+  // Runs both dispatch modes — groups of one and grouped gets both go
+  // through SearchBatch, and both consult the cache.
   for (const bool scalar : {true, false}) {
     for (const bool off : {false, true}) {
       SCOPED_TRACE((scalar ? "scalar" : "batched") +
                    std::string(off ? " cache-off" : " cache-on"));
       pm::Pool pool(std::size_t{256} << 20);
       auto idx = MakeIndex("hashed-fastfair:4", &pool);
+      if (off) {
+        auto* hashed = dynamic_cast<HashShardedIndex*>(idx.get());
+        ASSERT_NE(hashed, nullptr);
+        hashed->SetProbeCacheCapacity(0);
+      }
       ServiceOptions so;
       so.workers = 2;
-      so.scalar_dispatch = scalar;
-      if (off) so.probe_cache_entries = 0;
+      if (scalar) so.max_batch = 1;  // scalar dispatch
       KvService svc(idx.get(), so);
       Session* s = svc.OpenSession();
       svc.Start();
@@ -434,7 +475,7 @@ void RunDeadlineScript(bool scalar) {
   ServiceOptions so;
   so.workers = 1;
   so.queue_depth = 256;
-  so.scalar_dispatch = scalar;
+  if (scalar) so.max_batch = 1;  // scalar dispatch
   KvService svc(idx.get(), so);
   Session* s = svc.OpenSession();
 
@@ -515,7 +556,7 @@ void RunCapacityScript(bool scalar) {
   ServiceOptions so;
   so.workers = 1;
   so.queue_depth = 512;
-  so.scalar_dispatch = scalar;
+  if (scalar) so.max_batch = 1;  // scalar dispatch
   so.capacity_backoff_us = 100'000;  // wide enough to assert inside it
   KvService svc(idx.get(), so);
   Session* s = svc.OpenSession();
