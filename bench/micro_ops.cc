@@ -12,7 +12,8 @@
 // the CI perf-smoke job regenerates it as a build artifact and gates on
 // the deterministic counter ratios: BM_TreeSearchBatch must pay >= 2x fewer
 // serialized read stalls per op than BM_TreeSearch, and BM_TreeScanBatch
-// >= 2x fewer per scan than the scalar BM_TreeScan100 loop.
+// and BM_TreeScanLone >= 2x fewer per scan than the scalar BM_TreeScan100
+// loop.
 
 #include <benchmark/benchmark.h>
 
@@ -317,6 +318,40 @@ void BM_TreeScanBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeScanBatch);
 
+// Same tree and start sequence as BM_TreeScan100, one scan per ScanBatch
+// call — the lone scan Index::Scan issues. The descent's stall also covers
+// the next leaves the start leaf's parent names (DESIGN.md §8.2b), so the
+// scan visits the same nodes as BM_TreeScan100 but pays a stall only for
+// hops past those hints. hinted_per_op counts the hinted fetches,
+// hints_unused_per_op the ones no hop took.
+void BM_TreeScanLone(benchmark::State& state) {
+  pm::SetConfig(pm::Config{});
+  pm::Pool pool(std::size_t{4} << 30);
+  core::BTree tree(&pool);
+  const auto keys = bench::UniformKeys(200000, 5);
+  for (const Key k : keys) tree.Insert(k, 2 * k + 1);
+  core::Record out[100];
+  Rng rng(7);
+  const auto before = pm::Stats();
+  for (auto _ : state) {
+    const ScanOp op{rng.Next(), 100, out};
+    std::size_t got = 0;
+    tree.ScanBatch(&op, 1, &got);
+    benchmark::DoNotOptimize(got);
+  }
+  const auto delta = pm::Stats() - before;
+  const auto iters = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  SetPmCounters(state, delta, iters);
+  if (iters > 0) {
+    state.counters["hinted_per_op"] =
+        static_cast<double>(delta.read_hints) / iters;
+    state.counters["hints_unused_per_op"] =
+        static_cast<double>(delta.read_hints - delta.read_hint_hits) / iters;
+  }
+}
+BENCHMARK(BM_TreeScanLone);
+
 // --- reporting ---------------------------------------------------------------
 
 struct RunRecord {
@@ -530,6 +565,25 @@ int main(int argc, char** argv) {
                    "GATE FAIL micro_ops: ScanBatch read stalls/op %.3f not "
                    ">=2x below scalar scan %.3f\n",
                    b, s);
+      return 1;
+    }
+  }
+
+  // And for a lone scan: the parent-hinted leaves must take at least half
+  // of a scalar scan's stalls off (both rows walk the same tree from the
+  // same starts).
+  const RunRecord* scan_lone = nullptr;
+  for (const auto& r : reporter.records) {
+    if (r.name == "BM_TreeScanLone") scan_lone = &r;
+  }
+  if (scan_scalar != nullptr && scan_lone != nullptr) {
+    const double s = CounterOf(*scan_scalar, "read_stalls_per_op");
+    const double l = CounterOf(*scan_lone, "read_stalls_per_op");
+    if (l * 2.0 > s) {
+      std::fprintf(stderr,
+                   "GATE FAIL micro_ops: lone ScanBatch read stalls/op %.3f "
+                   "not >=2x below scalar scan %.3f\n",
+                   l, s);
       return 1;
     }
   }

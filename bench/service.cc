@@ -2,10 +2,13 @@
 // with thousands of logical clients and compares scalar per-op dispatch
 // against cross-client batch formation on the same index.
 //
-// Two phases per dispatch mode, each against its own KvService instance
+// Three phases per dispatch mode, each against its own KvService instance
 // (worker PM-counter deltas are finalized at Stop, so every phase gets an
 // isolated read-stall ledger):
 //
+//   prefilled  — one worker, every ring filled before Start(): the groups
+//     are fixed by the ring contents, so read stalls per op are an exact
+//     count. The stall gate reads this phase.
 //   saturation — closed-loop pipelined: each driver thread keeps a window
 //     of requests in flight across its slice of the session table and
 //     measures throughput plus read stalls per executed op. This is where
@@ -18,9 +21,10 @@
 //     the admission-control/timeout design is what this phase gates.
 //
 // Gates (stderr + non-zero exit):
-//   * read stalls/op: scalar must pay >= 2x the batched mode's (counter
-//     ratio — deterministic under PM emulation; the CI service job runs
-//     exactly this).
+//   * read stalls/op in the prefilled phase: scalar must pay >= 2x the
+//     batched mode's (an exact counter ratio; the CI service job runs
+//     exactly this). The saturation phase's ratio is reported only: there
+//     thread scheduling sets the batched group size.
 //   * batched saturation throughput >= 1.5x scalar (wall time; skipped
 //     under --no-wall-gates for loaded machines).
 //   * batched low-load p999 <= 2x scalar p999 + 50 us slack (wall time;
@@ -56,6 +60,7 @@ struct ModeResult {
   std::string name;
   double kops = 0.0;             // saturation throughput
   double stalls_per_op = 0.0;    // saturation phase, read_stalls/executed
+  double gated_stalls_per_op = 0.0;  // prefilled phase (RunPrefilled)
   double avg_group = 0.0;        // saturation phase mean group size
   std::uint64_t timeout_flushes = 0, idle_flushes = 0, full_flushes = 0;
   std::uint64_t rejected = 0;    // both phases
@@ -79,20 +84,65 @@ std::uint64_t g_deadline_us = 0;
 // Returns true when the submitted op was a scan (separate latency ledger).
 bool SubmitOp(server::Session* s, Rng& rng, std::size_t i, Key key,
               Value value, std::uint32_t scan_per_mille,
-              core::Record* scan_buf, server::Completion* done) {
+              core::Record* scan_buf, server::Completion* done,
+              std::uint64_t deadline_us = g_deadline_us) {
   if (scan_per_mille != 0 && rng.NextBounded(1000) < scan_per_mille) {
-    s->Scan(key, kScanLen, scan_buf, done, g_deadline_us);
+    s->Scan(key, kScanLen, scan_buf, done, deadline_us);
     return true;
   }
   const std::size_t slot = i % 21;
   if (slot < 16) {
-    s->Get(key, done, g_deadline_us);
+    s->Get(key, done, deadline_us);
   } else if (slot < 20) {
-    s->Put(key, value, done, g_deadline_us);
+    s->Put(key, value, done, deadline_us);
   } else {
-    s->Del(key, done, g_deadline_us);
+    s->Del(key, done, deadline_us);
   }
   return false;
+}
+
+// Gated stall phase: one worker, every ring filled before Start(), no
+// quota and no deadline. The worker's first drains then sweep the rings in
+// round-robin order, so each group is fixed by the ring contents alone
+// (max_batch requests, or one in scalar mode), not by thread scheduling,
+// and the read stalls per op are an exact count. Returns them.
+double RunPrefilled(Index* idx, server::ServiceOptions so, Key stride,
+                    std::size_t universe, double theta,
+                    std::uint32_t scan_per_mille, std::uint64_t seed) {
+  constexpr std::size_t kSessions = 64;
+  so.workers = 1;
+  so.quota_ops_per_sec = 0;
+  so.max_sessions = kSessions;
+  server::KvService svc(idx, so);
+  std::vector<server::Session*> sessions;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    sessions.push_back(svc.OpenSession(/*tenant=*/i));
+  }
+  std::unique_ptr<bench::ZipfianGenerator> zipf;
+  if (theta > 0.0) {
+    zipf = std::make_unique<bench::ZipfianGenerator>(universe, theta);
+  }
+  Rng rng(seed ^ 0x9f11edull);
+  const std::size_t total = kSessions * so.queue_depth;
+  std::vector<server::Completion> done(total);
+  std::vector<core::Record> scan_bufs(scan_per_mille != 0 ? total * kScanLen
+                                                          : 0);
+  for (std::size_t i = 0; i < total; ++i) {
+    const std::uint64_t rank =
+        zipf ? zipf->Next(rng) : rng.NextBounded(universe);
+    const Key key = (rank + 1) * stride;
+    SubmitOp(sessions[i % kSessions], rng, i, key, 2 * key + 1,
+             scan_per_mille,
+             scan_bufs.empty() ? nullptr : scan_bufs.data() + i * kScanLen,
+             &done[i], /*deadline_us=*/0);
+  }
+  svc.Start();
+  for (server::Completion& c : done) c.Wait();
+  svc.Stop();
+  const server::ServiceStats st = svc.Stats();
+  return st.executed == 0 ? 0.0
+                          : static_cast<double>(st.pm.read_stalls) /
+                                static_cast<double>(st.executed);
 }
 
 // Closed-loop pipelined drivers over disjoint session slices; returns wall
@@ -237,6 +287,11 @@ ModeResult RunMode(bool scalar, const bench::Options& opt,
   sopts.quota_ops_per_sec = opt.quota;
   sopts.max_sessions = num_sessions;
 
+  // Prefilled phase first, on the freshly loaded index, so its count does
+  // not depend on what the timed phases did to the tree.
+  r.gated_stalls_per_op = RunPrefilled(idx.get(), sopts, stride, n, opt.skew,
+                                       scan_per_mille, opt.seed);
+
   // Saturation phase.
   {
     server::KvService svc(idx.get(), sopts);
@@ -289,7 +344,8 @@ ModeResult RunMode(bool scalar, const bench::Options& opt,
 }
 
 bool WriteJson(const std::string& path, const std::vector<ModeResult>& modes,
-               double stall_ratio, double tput_ratio, bool with_scans) {
+               double gated_ratio, double stall_ratio, double tput_ratio,
+               bool with_scans) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "bench_service: cannot write %s\n", path.c_str());
@@ -299,14 +355,16 @@ bool WriteJson(const std::string& path, const std::vector<ModeResult>& modes,
   out << "{\n  \"bench\": \"service\",\n  \"modes\": [\n";
   for (std::size_t i = 0; i < modes.size(); ++i) {
     const ModeResult& m = modes[i];
-    char buf[256];
+    char buf[320];
     std::snprintf(buf, sizeof(buf),
                   "    {\"name\": \"%s\", \"kops\": %.1f, "
                   "\"read_stalls_per_op\": %.4f, \"avg_group_ops\": %.2f, "
+                  "\"gated_read_stalls_per_op\": %.4f, "
                   "\"timeout_flushes\": %llu, \"idle_flushes\": %llu, "
                   "\"full_flushes\": %llu, \"rejected\": %llu, "
                   "\"latency\": ",
                   m.name.c_str(), m.kops, m.stalls_per_op, m.avg_group,
+                  m.gated_stalls_per_op,
                   static_cast<unsigned long long>(m.timeout_flushes),
                   static_cast<unsigned long long>(m.idle_flushes),
                   static_cast<unsigned long long>(m.full_flushes),
@@ -325,11 +383,11 @@ bool WriteJson(const std::string& path, const std::vector<ModeResult>& modes,
     }
     out << "}" << (i + 1 < modes.size() ? "," : "") << "\n";
   }
-  char tail[128];
+  char tail[160];
   std::snprintf(tail, sizeof(tail),
-                "  ],\n  \"stall_ratio\": %.2f,\n  \"throughput_ratio\": "
-                "%.2f\n}\n",
-                stall_ratio, tput_ratio);
+                "  ],\n  \"gated_stall_ratio\": %.2f,\n  \"stall_ratio\": "
+                "%.2f,\n  \"throughput_ratio\": %.2f\n}\n",
+                gated_ratio, stall_ratio, tput_ratio);
   out << tail;
   return out.good();
 }
@@ -381,6 +439,7 @@ int main(int argc, char** argv) {
   const bool with_scans = opt.scan_frac > 0.0;
   std::vector<std::string> cols = {"mode",      "Kops_per_sec",
                                    "read_stalls_per_op", "avg_group",
+                                   "gated_stalls_per_op",
                                    "p50_us",    "p99_us",
                                    "p999_us",   "rejected"};
   if (with_scans) {
@@ -394,6 +453,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {
         m.name, bench::Table::Num(m.kops),
         bench::Table::Num(m.stalls_per_op), bench::Table::Num(m.avg_group),
+        bench::Table::Num(m.gated_stalls_per_op),
         bench::Table::Num(static_cast<double>(s.p50_ns) / 1e3),
         bench::Table::Num(static_cast<double>(s.p99_ns) / 1e3),
         bench::Table::Num(static_cast<double>(s.p999_ns) / 1e3),
@@ -414,24 +474,30 @@ int main(int argc, char** argv) {
 
   const double stall_ratio =
       ba.stalls_per_op == 0.0 ? 0.0 : sc.stalls_per_op / ba.stalls_per_op;
+  const double gated_ratio = ba.gated_stalls_per_op == 0.0
+                                 ? 0.0
+                                 : sc.gated_stalls_per_op /
+                                       ba.gated_stalls_per_op;
   const double tput_ratio = sc.kops == 0.0 ? 0.0 : ba.kops / sc.kops;
-  std::printf("stall ratio (scalar/batched): %.2fx, throughput ratio "
-              "(batched/scalar): %.2fx\n",
-              stall_ratio, tput_ratio);
+  std::printf("stall ratio (scalar/batched): %.2fx prefilled (gated), %.2fx "
+              "saturation; throughput ratio (batched/scalar): %.2fx\n",
+              gated_ratio, stall_ratio, tput_ratio);
 
   if (!json_path.empty() &&
-      !WriteJson(json_path, modes, stall_ratio, tput_ratio, with_scans)) {
+      !WriteJson(json_path, modes, gated_ratio, stall_ratio, tput_ratio,
+                 with_scans)) {
     return 1;
   }
 
   int rc = 0;
   // Deterministic counter gate: grouped execution must amortize serialized
-  // PM read stalls at least 2x (the CI service job's contract).
-  if (stall_ratio < 2.0) {
+  // PM read stalls at least 2x (the CI service job's contract), read from
+  // the prefilled phase, where no thread schedule sets the group size.
+  if (gated_ratio < 2.0) {
     std::fprintf(stderr,
-                 "GATE FAIL service: scalar read stalls/op %.3f not >= 2x "
-                 "batched %.3f\n",
-                 sc.stalls_per_op, ba.stalls_per_op);
+                 "GATE FAIL service: prefilled scalar read stalls/op %.3f "
+                 "not >= 2x batched %.3f\n",
+                 sc.gated_stalls_per_op, ba.gated_stalls_per_op);
     rc = 1;
   }
   if (wall_gates) {

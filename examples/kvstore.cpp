@@ -24,7 +24,9 @@
 // retrievable — the paper-correct fix for what an earlier version of this
 // example waved away as a 2^-64 risk.
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -334,6 +336,18 @@ int Demo() {
   return 0;
 }
 
+// Parses a whole argument as a decimal unsigned 64-bit value: digits
+// only (no sign, no blanks, no trailing text) and no overflow.
+bool ParseValue(const char* s, std::uint64_t* out) {
+  if (*s < '0' || *s > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -349,9 +363,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (argc >= 4 && std::string(argv[1]) == "put") {
-    ServiceStore s;
-    s.client.Put(argv[2], std::strtoull(argv[3], nullptr, 10));
-    return 0;
+    std::uint64_t v = 0;
+    if (ParseValue(argv[3], &v)) {
+      ServiceStore s;
+      s.client.Put(argv[2], v);
+      return 0;
+    }
+    std::fprintf(stderr, "kvstore: value '%s' is not a decimal integer in "
+                 "[0, 2^64)\n", argv[3]);
   }
   if (argc >= 3 && std::string(argv[1]) == "del") {
     ServiceStore s;

@@ -170,7 +170,10 @@ class BTreeT {
   /// kBatchGroup (DescendGroup), then the leaf chains drain hand-over-hand:
   /// each wave collects one leaf per live cursor and prefetches the
   /// siblings together, charging one grouped read stall per wave
-  /// (pm::AnnotateReadGroup) instead of one per leaf hop per scan.
+  /// (pm::AnnotateReadGroup) instead of one per leaf hop per scan. A group
+  /// smaller than kBatchGroup fills the descent's stall with the next
+  /// leaves its parents already name (DESIGN.md §8.2b), so a lone scan
+  /// takes its first hops without a stall.
   void ScanBatch(const ScanOp* ops, std::size_t n,
                  std::size_t* out_counts) const;
 
@@ -271,8 +274,12 @@ class BTreeT {
   /// covering leaves: one wave per level below the root, each slot's child
   /// prefetched a full wave before it is searched, and the g leaf arrivals
   /// of the last wave charged as one grouped read stall
-  /// (pm::AnnotateReadGroup).
-  void DescendGroup(const Key* keys, std::size_t g, NodeT** leaves) const;
+  /// (pm::AnnotateReadGroup). With `parents`, also returns each slot's
+  /// level-1 node, the parent its leaf was chosen from (nullptr when the
+  /// root is a leaf), and leaves the charge to the caller, which adds its
+  /// own fetches to the group's stall first (ScanBatch's parent hints).
+  void DescendGroup(const Key* keys, std::size_t g, NodeT** leaves,
+                    const NodeT** parents = nullptr) const;
 
   /// Search tail: probes `n` (a leaf from FindLeaf/DescendGroup) and
   /// follows the sibling chain while the key may live right of it.

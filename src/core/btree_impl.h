@@ -154,11 +154,12 @@ typename BTreeT<P>::NodeT* BTreeT<P>::FindLeaf(Key key) const {
 }
 
 template <std::size_t P>
-void BTreeT<P>::DescendGroup(const Key* keys, std::size_t g,
-                             NodeT** leaves) const {
+void BTreeT<P>::DescendGroup(const Key* keys, std::size_t g, NodeT** leaves,
+                             const NodeT** parents) const {
   RealMem m;
   NodeT* root = Root();
   for (std::size_t j = 0; j < g; ++j) leaves[j] = root;
+  if (parents != nullptr) std::fill(parents, parents + g, nullptr);
   // One wave advances every descent one level: while slot j's child search
   // runs, the children prefetched for slots j+1..g-1 (and next wave's for
   // 0..j) are in flight, so the per-level fetches of the whole group
@@ -177,6 +178,7 @@ void BTreeT<P>::DescendGroup(const Key* keys, std::size_t g,
                                   m, n, keys[j], detail::ResolveNode<NodeT>));) {
         n = AsNode(su);
       }
+      if (parents != nullptr) parents[j] = n;  // the last wave's: level 1
       leaves[j] = AsNode(child_search_(m, n, keys[j]));
       PrefetchNode(leaves[j]);
     }
@@ -187,8 +189,9 @@ void BTreeT<P>::DescendGroup(const Key* keys, std::size_t g,
   // Quartz prices LLC-miss stalls, not loads — its measured near-parity of
   // FAST+FAIR and FP-tree at 300 ns (Fig 5(b)) pins this calibration. The
   // g leaf arrivals are charged as ONE grouped read stall: their addresses
-  // were all known (and prefetched) before any was dereferenced.
-  pm::AnnotateReadGroup(g);
+  // were all known (and prefetched) before any was dereferenced. A caller
+  // that asks for the parents charges the group itself.
+  if (parents == nullptr) pm::AnnotateReadGroup(g);
 }
 
 template <std::size_t P>
@@ -974,29 +977,68 @@ void BTreeT<P>::ScanBatch(const ScanOp* ops, std::size_t n,
   detail::MaybeEpochGuard guard(opts_.reclaim_empty_leaves);
   RealMem m;
   Record buf[kNodeCapacity];
+  // Records per leaf at half fill: a FAIR split leaves at least this many
+  // in each half (deletes can leave fewer).
+  constexpr std::size_t kHalfLeaf = kNodeCapacity / 2;
   for (std::size_t base = 0; base < n; base += kBatchGroup) {
     const std::size_t g = std::min(kBatchGroup, n - base);
-    // Grouped descent to the start leaves: one wave per level, leaf
-    // arrivals charged as one grouped stall (exactly SearchBatch's front).
+    // Grouped descent to the start leaves: one wave per level (exactly
+    // SearchBatch's front).
     Key keys[kBatchGroup];
     for (std::size_t j = 0; j < g; ++j) keys[j] = ops[base + j].min_key;
     NodeT* leaves[kBatchGroup];
-    DescendGroup(keys, g, leaves);
+    const NodeT* parents[kBatchGroup];
+    DescendGroup(keys, g, leaves, parents);
+    // Parent hints: the level-1 node each descent just searched holds the
+    // addresses of the leaves right of its start leaf, so the next ones
+    // are prefetched now and ride the start leaves' grouped stall. The
+    // stall covers at most kBatchGroup fetches, the budget DescendGroup
+    // assumes: a full group gets no hints, a lone scan gets seven. An op
+    // asks for as many as its cap could need at half-full leaves past its
+    // start leaf (Scan(k, 1) asks for none); the free slots are dealt out
+    // one per op in turn.
+    std::size_t free_slots = kBatchGroup - g;
+    std::uint64_t hints[kBatchGroup][kBatchGroup - 1];
+    std::size_t want[kBatchGroup];
+    for (std::size_t j = 0; j < g; ++j) {
+      const std::size_t cap = ops[base + j].cap;
+      const std::size_t need = cap == 0 ? 0 : (cap - 1) / kHalfLeaf;
+      want[j] = 0;
+      if (parents[j] == nullptr || need == 0 || free_slots == 0) continue;
+      want[j] = static_cast<std::size_t>(Ops::ChildrenAfter(
+          m, parents[j], reinterpret_cast<std::uint64_t>(leaves[j]), hints[j],
+          static_cast<int>(std::min(need, free_slots))));
+    }
+    std::size_t nhint[kBatchGroup] = {};
+    for (bool dealt = true; dealt && free_slots > 0;) {
+      dealt = false;
+      for (std::size_t j = 0; j < g && free_slots > 0; ++j) {
+        if (nhint[j] == want[j]) continue;
+        PrefetchNode(Resolve(hints[j][nhint[j]++]));
+        --free_slots;
+        dealt = true;
+      }
+    }
+    pm::AnnotateReadGroup(g, kBatchGroup - g - free_slots);
     // Interleaved leaf-chain drain. Each cursor carries the same state the
     // scalar ScanRange loop keeps — current leaf, emitted count, last key
     // for split-copy dedup — and a wave collects one leaf per live cursor.
     // Siblings are loaded via the B-link chain (dead nodes collect zero
     // records and the chain continues right, so live splits / unlinks /
-    // migration windows are handled exactly like the scalar walk) and
-    // prefetched together; the wave's sibling hops are charged as ONE
-    // grouped read stall before the next wave dereferences any of them.
+    // migration windows are handled exactly like the scalar walk). A
+    // sibling found among the cursor's remaining hints was fetched under
+    // the descent's stall and is taken without a new one; the others are
+    // prefetched together and the wave's hops charged as ONE grouped read
+    // stall before the next wave dereferences any of them.
     const NodeT* cur[kBatchGroup];
     std::size_t got[kBatchGroup];
+    std::size_t next_hint[kBatchGroup];
     Key last[kBatchGroup];
     bool have_last[kBatchGroup];
     std::size_t live = 0;
     for (std::size_t j = 0; j < g; ++j) {
       got[j] = 0;
+      next_hint[j] = 0;
       last[j] = 0;
       have_last[j] = false;
       cur[j] = ops[base + j].cap > 0 ? leaves[j] : nullptr;
@@ -1019,16 +1061,31 @@ void BTreeT<P>::ScanBatch(const ScanOp* ops, std::size_t n,
         // Sibling load before the cap check, exactly like the scalar
         // loop's tail: per-op visited-node accounting stays identical to
         // ScanRange's, so scalar-vs-batched counter ratios compare pure
-        // stall amortization. Only a sibling the cursor goes on to read
-        // is prefetched.
+        // stall amortization. A hint mismatch — a split the parent does
+        // not know yet, or the end of the parent's children — is an
+        // ordinary hop; a later hint still matches after it (the split's
+        // right half leads back to the hinted leaf, an unlinked leaf is
+        // skipped). Only a sibling the cursor goes on to read is
+        // prefetched.
         const NodeT* s = Resolve(Ops::LoadSibling(m, leaf));
-        if (s != nullptr) ++arrived;
+        bool hinted = false;
+        if (s != nullptr) {
+          std::size_t h = next_hint[j];
+          while (h < nhint[j] && Resolve(hints[j][h]) != s) ++h;
+          hinted = h < nhint[j];
+          if (hinted) {
+            next_hint[j] = h + 1;
+            pm::AnnotateHintedRead();
+          } else {
+            ++arrived;
+          }
+        }
         if (s == nullptr || got[j] >= op.cap) {
           cur[j] = nullptr;
           --live;
           continue;
         }
-        PrefetchNode(s);
+        if (!hinted) PrefetchNode(s);
         cur[j] = s;
       }
       pm::AnnotateReadGroup(arrived);

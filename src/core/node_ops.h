@@ -489,6 +489,35 @@ struct NodeOps {
     return MoveRightTarget(m, n, key, resolve) != 0;
   }
 
+  /// Scan-prefetch hints (DESIGN.md §8.2b): writes up to `max` child
+  /// pointers that follow `child` in internal node `n`, in key order, and
+  /// returns how many (0 when `child` is no longer routed from `n`). One
+  /// pass of plain loads with no switch-counter or stable-record check: a
+  /// racing shift can yield a stale, repeated or missing entry, so the
+  /// result is a hint only. Callers compare it with pointers they load
+  /// from the B-link chain and never dereference it.
+  static int ChildrenAfter(Mem& m, const N* n, std::uint64_t child,
+                           std::uint64_t* out, int max) {
+    std::uint64_t prev = LoadLeftmost(m, n);
+    bool found = prev == child;
+    int got = 0;
+    for (int i = 0; i <= kCap && got < max; ++i) {
+      const std::uint64_t p = LoadPtrAt(m, n, i);
+      if (p == 0) {
+        if (i == 0) continue;  // slot-0 hole (or an empty node)
+        break;
+      }
+      if (p == prev) continue;  // duplicate: invalid slot
+      if (found) {
+        out[got++] = p;
+      } else {
+        found = p == child;
+      }
+      prev = p;
+    }
+    return got;
+  }
+
   /// Snapshot of the valid records of a node (sorted), for range scans and
   /// crash-image validation. Returns the number of records written to `out`
   /// (at most kCap). Scans in the direction SearchLeaf does; retries on

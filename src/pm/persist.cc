@@ -127,6 +127,8 @@ ThreadStats& ThreadStats::operator-=(const ThreadStats& o) {
   barriers -= o.barriers;
   read_annotations -= o.read_annotations;
   read_stalls -= o.read_stalls;
+  read_hints -= o.read_hints;
+  read_hint_hits -= o.read_hint_hits;
   wc_lines_saved -= o.wc_lines_saved;
   wc_fences_saved -= o.wc_fences_saved;
   flush_ns -= o.flush_ns;
@@ -154,6 +156,8 @@ ThreadStats& ThreadStats::operator+=(const ThreadStats& o) {
   barriers += o.barriers;
   read_annotations += o.read_annotations;
   read_stalls += o.read_stalls;
+  read_hints += o.read_hints;
+  read_hint_hits += o.read_hint_hits;
   wc_lines_saved += o.wc_lines_saved;
   wc_fences_saved += o.wc_fences_saved;
   flush_ns += o.flush_ns;
@@ -325,12 +329,18 @@ void AnnotateRead(const void* node) {
   if (lat != 0) SpinNs(lat);
 }
 
-void AnnotateReadGroup(std::size_t nodes) {
+void AnnotateReadGroup(std::size_t nodes, std::size_t hinted) {
   if (nodes == 0) return;
   t_stats.read_annotations += nodes;
+  t_stats.read_hints += hinted;
   t_stats.read_stalls += 1;
   const std::uint64_t lat = g_read_latency_ns.load(std::memory_order_relaxed);
   if (lat != 0) SpinNs(lat);
+}
+
+void AnnotateHintedRead() {
+  t_stats.read_annotations += 1;
+  t_stats.read_hint_hits += 1;
 }
 
 FlushScope::FlushScope() {

@@ -74,6 +74,8 @@ struct ThreadStats {
   std::uint64_t barriers = 0;          // FenceIfNotTso count (non-TSO only)
   std::uint64_t read_annotations = 0;  // PM node visits charged read latency
   std::uint64_t read_stalls = 0;       // serialized read-latency stalls paid
+  std::uint64_t read_hints = 0;        // extra fetches a grouped stall covered
+  std::uint64_t read_hint_hits = 0;    // node visits served by such a fetch
   std::uint64_t wc_lines_saved = 0;    // same-line flushes a FlushScope deduped
   std::uint64_t wc_fences_saved = 0;   // fences a FlushScope deferred/elided
   std::uint64_t flush_ns = 0;          // wall time inside Clflush/Persist
@@ -130,7 +132,20 @@ void AnnotateRead(const void* node);
 /// same way a node's adjacent lines do. Counts `nodes` read_annotations
 /// (node-visit accounting is unchanged) but only ONE serialized stall —
 /// one read_stall, one latency spin. No-op when nodes == 0.
-void AnnotateReadGroup(std::size_t nodes);
+///
+/// `hinted` more fetches may ride the same stall (counted in read_hints,
+/// not in read_annotations): nodes whose addresses a parent node already
+/// held, prefetched before a walk reaches them (ScanBatch's parent-hinted
+/// leaves, DESIGN.md §8.2b). The group's nodes + hinted stay within the
+/// same memory-parallelism budget a descent group assumes.
+void AnnotateReadGroup(std::size_t nodes, std::size_t hinted = 0);
+
+/// Count-only read annotation: a node visit whose fetch an earlier
+/// AnnotateReadGroup(..., hinted) already covered. Counts one
+/// read_annotation (node visits stay one per visited node) and one
+/// read_hint_hit, but no stall and no latency spin. read_hints minus
+/// read_hint_hits is the hinted fetches no walk used.
+void AnnotateHintedRead();
 
 /// Write-combining flush scope (DESIGN.md §8.2). While the innermost
 /// engaged scope on this thread is open, Clflush/FlushRange record their

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <limits>
 
 #include "index/hash_sharded.h"
 #include "pm/reclaim.h"
@@ -247,12 +248,20 @@ void KvService::WorkerLoop(std::size_t w) {
   const pm::ThreadStats start = pm::Stats();
   std::vector<detail::Request>& reqs = wk.reqs;
   std::uint32_t idle_spins = 0;
+  // max_batch == 1 is scalar dispatch: a pass takes up to one request from
+  // every assigned session and runs each as its own group of one — no
+  // descent interleaving, no shared grouped stalls, no flush to count.
+  // Polling once per pass rather than once per request keeps a busy
+  // worker running requests instead of sweeping near-empty rings.
+  const bool scalar = opts_.max_batch == 1;
+  const std::size_t budget =
+      scalar ? std::numeric_limits<std::size_t>::max() : opts_.max_batch;
   for (;;) {
     reqs.clear();
     // Load-before-drain: when this is true and the drain below comes up
     // empty, every admitted request has been seen (Stop's proof above).
     const bool stop_seen = stopping_.load(std::memory_order_acquire);
-    DrainAssigned(w, &reqs, opts_.max_batch);
+    DrainAssigned(w, &reqs, budget, opts_.max_batch);
     if (reqs.empty()) {
       if (stop_seen) break;
       if (++idle_spins < 64) {
@@ -265,19 +274,18 @@ void KvService::WorkerLoop(std::size_t w) {
       continue;
     }
     idle_spins = 0;
-    // max_batch == 1 is scalar dispatch: each request executes alone, as
-    // its own group of one — no descent interleaving, no shared grouped
-    // stalls, no flush to count.
-    if (opts_.max_batch > 1) {
-      if (reqs.size() >= opts_.max_batch) {
-        ++wk.full;
-      } else if (!stop_seen) {
-        switch (GatherGroup(w, &reqs)) {
-          case FlushReason::kFull: ++wk.full; break;
-          case FlushReason::kTimeout: ++wk.timeout; break;
-          case FlushReason::kIdle: ++wk.idle; break;
-          case FlushReason::kStop: break;
-        }
+    if (scalar) {
+      for (detail::Request& r : reqs) ExecuteGroup(wk, &r, 1);
+      continue;
+    }
+    if (reqs.size() >= opts_.max_batch) {
+      ++wk.full;
+    } else if (!stop_seen) {
+      switch (GatherGroup(w, &reqs)) {
+        case FlushReason::kFull: ++wk.full; break;
+        case FlushReason::kTimeout: ++wk.timeout; break;
+        case FlushReason::kIdle: ++wk.idle; break;
+        case FlushReason::kStop: break;
       }
     }
     ExecuteGroup(wk, reqs.data(), reqs.size());
@@ -287,7 +295,8 @@ void KvService::WorkerLoop(std::size_t w) {
 
 std::size_t KvService::DrainAssigned(std::size_t w,
                                      std::vector<detail::Request>* out,
-                                     std::size_t budget) {
+                                     std::size_t budget,
+                                     std::size_t per_session) {
   const std::size_t n = num_sessions_.load(std::memory_order_acquire);
   if (n <= w) return 0;
   Worker& wk = *workers_[w];
@@ -298,7 +307,8 @@ std::size_t KvService::DrainAssigned(std::size_t w,
   std::size_t i = start;
   std::size_t total = 0;
   do {
-    const std::size_t got = sessions_[i]->Drain(out, budget - total);
+    const std::size_t got =
+        sessions_[i]->Drain(out, std::min(per_session, budget - total));
     i += num_workers_;
     if (i >= n) i = w;
     if (got != 0) {
@@ -323,7 +333,8 @@ KvService::FlushReason KvService::GatherGroup(
   for (;;) {
     if (stopping_.load(std::memory_order_acquire)) return FlushReason::kStop;
     const std::size_t got =
-        DrainAssigned(w, reqs, opts_.max_batch - reqs->size());
+        DrainAssigned(w, reqs, opts_.max_batch - reqs->size(),
+                      opts_.max_batch);
     if (reqs->size() >= opts_.max_batch) return FlushReason::kFull;
     if (got == 0) {
       if (++empty_polls >= kIdlePollLimit) return FlushReason::kIdle;

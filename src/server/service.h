@@ -339,11 +339,12 @@ class KvService {
 
   void WorkerLoop(std::size_t w);
   /// Drains every session assigned to worker `w` once, appending at most
-  /// `budget` requests; returns the number drained. Each pass starts after
-  /// the session the previous pass last drained, so a small budget
-  /// (max_batch = 1) still serves the sessions round-robin.
+  /// `budget` requests in all and `per_session` from any one session;
+  /// returns the number drained. Each pass starts after the session the
+  /// previous pass last drained, so the sessions are served round-robin
+  /// whatever the budget.
   std::size_t DrainAssigned(std::size_t w, std::vector<detail::Request>* out,
-                            std::size_t budget);
+                            std::size_t budget, std::size_t per_session);
   FlushReason GatherGroup(std::size_t w, std::vector<detail::Request>* reqs);
   /// Executes reqs[0..n) as one group, the service's one execution path.
   void ExecuteGroup(Worker& wk, detail::Request* reqs, std::size_t n);

@@ -2,7 +2,8 @@
 // the core tree and through the index registry — scalar equivalence,
 // degenerate batches (empty, duplicate, unsorted), shard-boundary
 // spanning batches on both sharded adapters, grouped read-stall
-// accounting, and batches racing concurrent splits/deletes.
+// accounting (a lone scan's parent-hinted leaves included), and batches
+// racing concurrent splits/deletes.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "core/btree.h"
 #include "index/index.h"
 #include "index/sharded.h"
+#include "pm/fault.h"
 #include "pm/persist.h"
 #include "race_sched.h"
 
@@ -432,6 +434,128 @@ TEST(ScanBatch, GroupedStallAccounting) {
   // per hop per scan). >= 2x is the CI perf-smoke gate's contract.
   EXPECT_EQ(batched.read_annotations, scalar.read_annotations);
   EXPECT_GE(scalar.read_stalls, 2 * batched.read_stalls);
+  // Full groups fill the descent's stall with their own start leaves:
+  // no parent hints, so their accounting is the hint-free one.
+  EXPECT_EQ(batched.read_hints, 0u);
+  EXPECT_EQ(batched.read_hint_hits, 0u);
+}
+
+// A lone scan, one op per ScanBatch call (Index::Scan's path), on a tree
+// whose leaves all hang off one level-1 node (the root): the descent's
+// stall also covers the next seven leaves the root names, so each
+// 100-record scan visits exactly the nodes scalar Scan visits, returns
+// the same records, and pays at most two stalls (one past seven hops).
+TEST(ScanBatch, LoneScanTakesHintedLeavesWithoutAStall) {
+  pm::Pool pool(std::size_t{64} << 20);
+  core::BTree tree(&pool);
+  auto keys = bench::UniformKeys(400, 8);
+  for (const Key k : keys) tree.Insert(k, ValueFor(k));
+  ASSERT_EQ(tree.Height(), 2);
+  std::sort(keys.begin(), keys.end());
+
+  constexpr std::size_t kCap = 100;
+  core::Record want[kCap], got[kCap];
+  std::uint64_t hits = 0;
+  for (const Key start : keys) {
+    const auto s0 = pm::Stats();
+    const std::size_t wn = tree.Scan(start, kCap, want);
+    const auto scalar = pm::Stats() - s0;
+    const ScanOp op{start, kCap, got};
+    std::size_t gn = 0;
+    const auto b0 = pm::Stats();
+    tree.ScanBatch(&op, 1, &gn);
+    const auto lone = pm::Stats() - b0;
+    ASSERT_EQ(gn, wn) << start;
+    for (std::size_t i = 0; i < wn; ++i) {
+      ASSERT_EQ(got[i].key, want[i].key) << start;
+      ASSERT_EQ(got[i].ptr, want[i].ptr) << start;
+    }
+    EXPECT_EQ(lone.read_annotations, scalar.read_annotations) << start;
+    EXPECT_LE(lone.read_stalls, 2u) << start;
+    EXPECT_LE(lone.read_hints, core::BTree::kBatchGroup - 1);
+    EXPECT_LE(lone.read_hint_hits, lone.read_hints);
+    hits += lone.read_hint_hits;
+  }
+  EXPECT_GT(hits, keys.size());  // the hints were taken, not just issued
+
+  // Scan(k, 1) needs no leaf past its start leaf: no hints.
+  const auto one0 = pm::Stats();
+  const ScanOp one{keys[0], 1, got};
+  std::size_t n1 = 0;
+  tree.ScanBatch(&one, 1, &n1);
+  EXPECT_EQ(n1, 1u);
+  EXPECT_EQ((pm::Stats() - one0).read_hints, 0u);
+}
+
+// A leaf split whose parent insert failed (the internal split could not
+// allocate) leaves the new right half reachable only through the B-link
+// chain. The parent hints then skip it: the hop into it is an ordinary
+// charged hop, and the hop out of it lands on the hinted leaf again.
+// Lone scans across it must return exactly ScanRange's records.
+TEST(ScanBatch, HintMismatchAtUnpublishedSplit) {
+  pm::Pool pool(std::size_t{256} << 20);
+  core::BTree tree(&pool);
+  const auto keys = bench::UniformKeys(60000, 13);
+  std::size_t loaded = 0;
+  for (; loaded < 20000; ++loaded) {
+    tree.Insert(keys[loaded], ValueFor(keys[loaded]));
+  }
+  auto& inj = pm::FaultInjector::Instance();
+  inj.Reset();
+  inj.FailAllocAtSite("btree/split-internal", 1);
+  while (inj.faults_injected() == 0 && loaded < keys.size()) {
+    ASSERT_NE(tree.TryInsert(keys[loaded], ValueFor(keys[loaded])),
+              InsertStatus::kNoSpace);
+    ++loaded;
+  }
+  const std::uint64_t injected = inj.faults_injected();
+  inj.Reset();
+  ASSERT_EQ(injected, 1u);
+
+  std::vector<Key> live(keys.begin(),
+                        keys.begin() + static_cast<std::ptrdiff_t>(loaded));
+  std::sort(live.begin(), live.end());
+  // The unpublished right half: its keys descend to its left neighbour,
+  // so Scan(k, 1) reads three leaves (left, right half, its sibling)
+  // where a routed key reads two.
+  std::size_t first_unrouted = live.size();
+  core::Record one[1];
+  for (std::size_t i = 0; i < live.size() && first_unrouted == live.size();
+       ++i) {
+    const auto s0 = pm::Stats();
+    ASSERT_EQ(tree.Scan(live[i], 1, one), 1u);
+    if ((pm::Stats() - s0).read_annotations == 3) first_unrouted = i;
+  }
+  ASSERT_LT(first_unrouted, live.size());
+
+  constexpr std::size_t kCap = 100;
+  core::Record want[kCap], got[kCap];
+  const std::size_t lo = first_unrouted > 150 ? first_unrouted - 150 : 0;
+  for (std::size_t i = lo; i <= first_unrouted; ++i) {
+    const Key start = live[i];
+    const auto s0 = pm::Stats();
+    const std::size_t wn = tree.ScanRange(start, ~Key{0}, want, kCap);
+    const auto scalar = pm::Stats() - s0;
+    const ScanOp op{start, kCap, got};
+    std::size_t gn = 0;
+    const auto b0 = pm::Stats();
+    tree.ScanBatch(&op, 1, &gn);
+    const auto lone = pm::Stats() - b0;
+    ASSERT_EQ(gn, wn) << start;
+    for (std::size_t j = 0; j < wn; ++j) {
+      ASSERT_EQ(got[j].key, want[j].key) << start;
+      ASSERT_EQ(got[j].ptr, want[j].ptr) << start;
+    }
+    EXPECT_EQ(lone.read_annotations, scalar.read_annotations) << start;
+    if (i == first_unrouted) {
+      // Descent lands left of the split; the hop into the right half is
+      // charged, the hop out of it matches the first hint.
+      EXPECT_GE(lone.read_stalls, 2u);
+      EXPECT_GT(lone.read_hint_hits, 0u);
+    }
+  }
+  std::string msg;
+  EXPECT_TRUE(tree.CheckInvariants(&msg)) << msg;
 }
 
 TEST(ScanBatch, SpansShardSeams) {
@@ -552,6 +676,8 @@ TEST(ScanBatch, RacesSplitsAndUnlinks) {
                   out.data() + j * kCap};
       }
       tree.ScanBatch(ops, kGroup, counts);
+      // The last op again, alone: the parent-hinted walk of a lone scan.
+      tree.ScanBatch(ops + kGroup - 1, 1, counts + kGroup - 1);
       for (std::size_t j = 0; j < kGroup; ++j) {
         const core::Record* r = out.data() + j * kCap;
         std::uint64_t bad = 0;
